@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use xr_types::{Error, GigaBytesPerSecond, GigaHertz, Result};
 
 /// Broad device roles in the testbed.
@@ -69,9 +70,15 @@ pub struct DeviceCatalog {
 }
 
 impl DeviceCatalog {
-    /// Builds the catalog of Table I.
+    /// The catalog of Table I, built on first use and shared for the rest
+    /// of the process. Clone it to get an owned copy.
     #[must_use]
-    pub fn table1() -> Self {
+    pub fn table1() -> &'static Self {
+        static TABLE1: OnceLock<DeviceCatalog> = OnceLock::new();
+        TABLE1.get_or_init(Self::build_table1)
+    }
+
+    fn build_table1() -> Self {
         let mut devices = BTreeMap::new();
         let mut add = |spec: DeviceSpec| {
             devices.insert(spec.name.clone(), spec);
@@ -282,6 +289,20 @@ mod tests {
         }
         assert_eq!(catalog.xr_clients().count(), 6);
         assert_eq!(catalog.edge_servers().count(), 2);
+    }
+
+    #[test]
+    fn table1_is_built_once_per_process() {
+        let first = DeviceCatalog::table1();
+        assert!(std::ptr::eq(first, DeviceCatalog::table1()));
+        let from_thread = std::thread::spawn(DeviceCatalog::table1).join().unwrap();
+        assert!(std::ptr::eq(first, from_thread));
+        let names = DeviceCatalog::training_devices()
+            .into_iter()
+            .chain(DeviceCatalog::validation_devices());
+        for name in names {
+            assert!(first.device(name).is_ok(), "{name} no longer resolves");
+        }
     }
 
     #[test]

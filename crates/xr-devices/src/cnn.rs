@@ -13,6 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use xr_stats::{FittedLinearModel, LinearRegression};
 use xr_types::{Error, MegaBytes, Result};
 
@@ -52,9 +53,15 @@ pub struct CnnCatalog {
 }
 
 impl CnnCatalog {
-    /// Builds the catalog of Table II.
+    /// The catalog of Table II, built on first use and shared for the rest
+    /// of the process. Clone it to get an owned copy.
     #[must_use]
-    pub fn table2() -> Self {
+    pub fn table2() -> &'static Self {
+        static TABLE2: OnceLock<CnnCatalog> = OnceLock::new();
+        TABLE2.get_or_init(Self::build_table2)
+    }
+
+    fn build_table2() -> Self {
         let mut models = BTreeMap::new();
         let mut add = |name: &str,
                        depth: u32,
@@ -222,6 +229,16 @@ impl Default for CnnComplexityModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn table2_is_built_once_per_process() {
+        let first = CnnCatalog::table2();
+        assert!(std::ptr::eq(first, CnnCatalog::table2()));
+        let from_thread = std::thread::spawn(CnnCatalog::table2).join().unwrap();
+        assert!(std::ptr::eq(first, from_thread));
+        assert_eq!(first.default_local().name, "MobileNetV2_300_Float");
+        assert_eq!(first.default_remote().name, "YoloV3");
+    }
 
     #[test]
     fn table2_has_eleven_models() {

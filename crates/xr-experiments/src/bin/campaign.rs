@@ -146,7 +146,10 @@ fn main() {
             eprintln!("shard 1/1: {}/{total} points", rows.len());
         }
     })
-    .expect("campaign failed");
+    .unwrap_or_else(|error| {
+        eprintln!("campaign failed: {error}");
+        std::process::exit(1);
+    });
     let cells: Vec<Vec<String>> = rows.iter().map(|r| r.cells()).collect();
     output::print_experiment(
         "Consolidated campaign — twelve-axis replicated sweep",

@@ -3,7 +3,9 @@
 
 use xr_core::{Scenario, XrPerformanceModel};
 use xr_devices::DeviceCatalog;
-use xr_sweep::{grid, CampaignRunner, MobilityCondition, OperatingPoint, WirelessCondition};
+use xr_sweep::{
+    grid, runner::WORKERS_ENV, CampaignRunner, MobilityCondition, OperatingPoint, WirelessCondition,
+};
 use xr_testbed::{CalibratedModels, MeasurementCampaign, TestbedSimulator};
 use xr_types::{ExecutionTarget, GigaHertz, MegaBitsPerSecond, Meters, MetersPerSecond, Result};
 
@@ -34,6 +36,49 @@ pub fn parse_reorder_cap(token: &str) -> std::result::Result<usize, String> {
         return Err("reorder cap must be at least 1".to_string());
     }
     Ok(cap)
+}
+
+/// Parses an `XR_SWEEP_WORKERS` token: a worker count, with `0` clamped
+/// to one worker by the runner.
+///
+/// # Errors
+///
+/// Returns a message naming the variable and the token when the token is
+/// not a non-negative integer.
+fn parse_workers(token: &str) -> std::result::Result<usize, String> {
+    token
+        .parse::<usize>()
+        .map_err(|_| format!("invalid {WORKERS_ENV} `{token}`: expected a worker count"))
+}
+
+/// Environment variable turning replication fusion on (see
+/// [`parse_fused_points`]).
+const FUSED_POINTS_ENV: &str = "XR_FUSED_POINTS";
+
+/// Parses an `XR_FUSED_POINTS` token: `1` turns replication fusion on and
+/// `0` leaves it off.
+///
+/// # Errors
+///
+/// Returns a message naming the variable and the token for anything else.
+fn parse_fused_points(token: &str) -> std::result::Result<bool, String> {
+    match token {
+        "1" => Ok(true),
+        "0" => Ok(false),
+        _ => Err(format!(
+            "invalid {FUSED_POINTS_ENV} `{token}`: expected 1 or 0"
+        )),
+    }
+}
+
+/// Checks the value of `var`, if set, with `parse`; exits with status 2 and
+/// the parser's message when the value is rejected.
+fn env_or_exit<T>(var: &str, parse: fn(&str) -> std::result::Result<T, String>) -> Option<T> {
+    let token = std::env::var(var).ok()?;
+    Some(parse(&token).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    }))
 }
 
 impl ExperimentContext {
@@ -75,12 +120,20 @@ impl ExperimentContext {
     /// *same-scheme reseed* distribution that calibrates the null rate for
     /// sanctioned draw-scheme re-keys (see `xr_stats::equivalence`).
     ///
+    /// A malformed `XR_SWEEP_WORKERS`, `XR_FUSED_POINTS`,
+    /// `XR_SESSION_CHUNKS` or `XR_REORDER_CAP` value ends the process with
+    /// status 2 and a message quoting the bad value.
+    ///
     /// # Panics
     ///
     /// Panics with a readable message if the regression calibration fails,
     /// which only happens when the measurement campaign is empty.
     #[must_use]
     pub fn from_args() -> Self {
+        // Rejected before calibration, so a typo fails fast. The runner
+        // reads the worker count itself (see `runner`).
+        env_or_exit(WORKERS_ENV, parse_workers);
+        let fused_env = env_or_exit(FUSED_POINTS_ENV, parse_fused_points).unwrap_or(false);
         let paper_scale = std::env::args().any(|a| a == "--paper-scale");
         let seed = std::env::var("XR_CAMPAIGN_SEED")
             .ok()
@@ -111,9 +164,7 @@ impl ExperimentContext {
         if let Some(chunks) = chunks {
             ctx = ctx.with_session_chunks(chunks);
         }
-        if std::env::args().any(|a| a == "--fused-points")
-            || std::env::var("XR_FUSED_POINTS").is_ok_and(|v| v == "1")
-        {
+        if fused_env || std::env::args().any(|a| a == "--fused-points") {
             ctx = ctx.with_fused_points();
         }
         let cap = args
@@ -459,6 +510,33 @@ mod tests {
             parse_reorder_cap("many"),
             Err("invalid reorder cap `many`".to_string())
         );
+    }
+
+    #[test]
+    fn worker_tokens_parse_or_name_the_variable() {
+        assert_eq!(parse_workers("4"), Ok(4));
+        assert_eq!(
+            parse_workers("0"),
+            Ok(0),
+            "the runner clamps 0 to one worker"
+        );
+        assert_eq!(
+            parse_workers("abc"),
+            Err("invalid XR_SWEEP_WORKERS `abc`: expected a worker count".to_string())
+        );
+        assert!(parse_workers("-1").is_err());
+        assert!(parse_workers("").is_err());
+    }
+
+    #[test]
+    fn fused_point_tokens_parse_or_name_the_variable() {
+        assert_eq!(parse_fused_points("1"), Ok(true));
+        assert_eq!(parse_fused_points("0"), Ok(false));
+        assert_eq!(
+            parse_fused_points("yes"),
+            Err("invalid XR_FUSED_POINTS `yes`: expected 1 or 0".to_string())
+        );
+        assert!(parse_fused_points("").is_err());
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! regularized incomplete beta function by continued fraction, inverted by
 //! bisection — since no numerics crates are available offline.
 
+use std::cell::RefCell;
+
 /// Natural log of the gamma function (Lanczos approximation, g = 7, n = 9;
 /// |relative error| < 1e-13 over the positive reals).
 fn ln_gamma(x: f64) -> f64 {
@@ -133,9 +135,35 @@ pub fn students_t_cdf(t: f64, dof: f64) -> f64 {
     }
 }
 
+/// Entries kept per thread by the [`students_t_quantile`] memo. A campaign
+/// asks for one or two `(p, dof)` pairs over and over; a handful of slots
+/// covers every caller without ever growing.
+const QUANTILE_MEMO_SLOTS: usize = 8;
+
+/// A thread's memo of recent `(p, dof) → quantile` results, keyed by the
+/// exact bit patterns so a hit returns exactly what the bisection returned.
+/// Misses overwrite the slots round-robin.
+struct QuantileMemo {
+    entries: [Option<((u64, u64), f64)>; QUANTILE_MEMO_SLOTS],
+    next: usize,
+}
+
+thread_local! {
+    static QUANTILE_MEMO: RefCell<QuantileMemo> = const {
+        RefCell::new(QuantileMemo {
+            entries: [None; QUANTILE_MEMO_SLOTS],
+            next: 0,
+        })
+    };
+}
+
 /// Quantile (inverse CDF) of the Student-t distribution with `dof` degrees
 /// of freedom, by bisection on [`students_t_cdf`] (the CDF is strictly
 /// monotone, so ~90 halvings pin the root far below f64 noise).
+///
+/// Results are memoized per thread by the exact bits of `(p, dof)`, so
+/// repeated calls (every row of a replicated campaign asks for the same
+/// critical value) skip the bisection and return the identical `f64`.
 ///
 /// # Panics
 ///
@@ -144,12 +172,29 @@ pub fn students_t_cdf(t: f64, dof: f64) -> f64 {
 pub fn students_t_quantile(p: f64, dof: f64) -> f64 {
     assert!(dof > 0.0, "degrees of freedom must be positive");
     assert!(p > 0.0 && p < 1.0, "probability must be in (0, 1)");
+    let key = (p.to_bits(), dof.to_bits());
+    QUANTILE_MEMO.with(|memo| {
+        let mut memo = memo.borrow_mut();
+        if let Some((_, t)) = memo.entries.iter().flatten().find(|(k, _)| *k == key) {
+            return *t;
+        }
+        let t = students_t_quantile_uncached(p, dof);
+        let slot = memo.next;
+        memo.entries[slot] = Some((key, t));
+        memo.next = (slot + 1) % QUANTILE_MEMO_SLOTS;
+        t
+    })
+}
+
+/// The bisection behind [`students_t_quantile`], without the memo. The
+/// caller has checked `p` and `dof`.
+fn students_t_quantile_uncached(p: f64, dof: f64) -> f64 {
     if (p - 0.5).abs() < f64::EPSILON {
         return 0.0;
     }
     // Symmetry reduces to the upper half.
     if p < 0.5 {
-        return -students_t_quantile(1.0 - p, dof);
+        return -students_t_quantile_uncached(1.0 - p, dof);
     }
     let mut lo = 0.0_f64;
     let mut hi = 1.0_f64;
@@ -251,6 +296,83 @@ mod tests {
         assert!((students_t_quantile(0.995, 5.0) - 4.032).abs() < 2e-3);
         assert_eq!(students_t_quantile(0.5, 3.0), 0.0);
         assert!((students_t_quantile(0.025, 4.0) + 2.776).abs() < 2e-3);
+    }
+
+    /// Every `(p, dof)` the memo tests ask for: both tails of the
+    /// two-sided 90/95/99 % critical values, as the interval code derives
+    /// them, over dof 1..=64.
+    fn memo_cases() -> Vec<(f64, f64)> {
+        let mut cases = Vec::new();
+        for dof in 1..=64 {
+            for level in [0.90, 0.95, 0.99] {
+                cases.push((0.5 + level / 2.0, f64::from(dof)));
+                cases.push((0.5 - level / 2.0, f64::from(dof)));
+            }
+        }
+        cases
+    }
+
+    fn assert_memo_matches_bisection(cases: &[(f64, f64)]) {
+        for &(p, dof) in cases {
+            let expected = students_t_quantile_uncached(p, dof).to_bits();
+            let first = students_t_quantile(p, dof).to_bits();
+            let repeat = students_t_quantile(p, dof).to_bits();
+            assert_eq!(first, expected, "first call at p={p}, dof={dof}");
+            assert_eq!(repeat, expected, "memo hit at p={p}, dof={dof}");
+        }
+    }
+
+    #[test]
+    fn memoized_quantiles_are_bit_identical_to_the_bisection() {
+        let cases = memo_cases();
+        // A fresh thread starts with an empty memo, so its first calls miss.
+        std::thread::spawn({
+            let cases = cases.clone();
+            move || assert_memo_matches_bisection(&cases)
+        })
+        .join()
+        .unwrap();
+        // Again on a memo that has wrapped around many times.
+        assert_memo_matches_bisection(&cases);
+    }
+
+    #[test]
+    fn memoized_quantiles_agree_across_concurrent_threads() {
+        let cases = memo_cases();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for shift in 0..4 {
+                let (cases, start) = (&cases, &start);
+                scope.spawn(move || {
+                    // Each thread walks the cases from a different start.
+                    let mut rotated = cases.clone();
+                    rotated.rotate_left(shift * cases.len() / 4);
+                    start.wait();
+                    assert_memo_matches_bisection(&rotated);
+                });
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "probability must be in (0, 1)")]
+    fn warm_memo_still_rejects_bad_probabilities() {
+        let _ = students_t_quantile(0.975, 4.0);
+        let _ = students_t_quantile(1.0, 4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "probability must be in (0, 1)")]
+    fn warm_memo_still_rejects_nan_probabilities() {
+        let _ = students_t_quantile(0.975, 4.0);
+        let _ = students_t_quantile(f64::NAN, 4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "degrees of freedom must be positive")]
+    fn warm_memo_still_rejects_bad_degrees_of_freedom() {
+        let _ = students_t_quantile(0.975, 4.0);
+        let _ = students_t_quantile(0.975, 0.0);
     }
 
     #[test]
