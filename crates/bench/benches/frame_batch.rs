@@ -47,11 +47,15 @@ fn frame_batch_throughput(c: &mut Criterion) {
     // Bit-identity gate: a faster engine that drifts is not a speedup.
     // CI smoke-runs this bench with XR_BENCH_SAMPLE_SIZE=2 precisely for
     // this block — the lane-oriented draw layer must replay the scalar
-    // streams bit for bit on the CI host before any timing happens.
+    // streams bit for bit on the CI host before any timing happens. Both
+    // engines keep their frame log here, so the gate compares every frame;
+    // the timed loops below run the default stats-only sessions.
+    let logged = testbed.clone().with_frame_log(true);
     for (label, scenario) in &scenarios() {
-        let scalar = testbed.simulate_session_scalar(scenario, FRAMES).unwrap();
+        let scalar = logged.simulate_session_scalar(scenario, FRAMES).unwrap();
+        assert!(scalar.frames().is_some());
         for width in [1, 7, 64, 256, 512] {
-            let batched = testbed
+            let batched = logged
                 .simulate_session_batched(scenario, FRAMES, width)
                 .unwrap();
             assert_eq!(

@@ -83,12 +83,17 @@ fn point_fused_throughput(c: &mut Criterion) {
     // Bit-identity gate: a faster point engine that drifts is not a
     // speedup. CI smoke-runs this bench with XR_BENCH_SAMPLE_SIZE=2 on both
     // the AVX2 and XR_FORCE_PORTABLE=1 legs precisely for this block.
+    // Both sides keep their frame log, so the gate compares every frame;
+    // the timed loops below run the default stats-only sessions.
+    let logged_per_rep = per_rep.clone().with_frame_log(true);
+    let logged_fused = fused.clone().with_frame_log(true);
     for (label, scenario) in &scenarios() {
         for (reps, frames) in shapes() {
-            let reference = per_rep
+            let reference = logged_per_rep
                 .simulate_point(scenario, POINT_SEED, reps, frames)
                 .unwrap();
-            let fused_sessions = fused
+            assert!(reference.iter().all(|s| s.frames().is_some()));
+            let fused_sessions = logged_fused
                 .simulate_point(scenario, POINT_SEED, reps, frames)
                 .unwrap();
             assert_eq!(

@@ -71,6 +71,34 @@ fn parse_fused_points(token: &str) -> std::result::Result<bool, String> {
     }
 }
 
+/// Environment variable overriding the base session seed (see
+/// [`parse_seed`]).
+const CAMPAIGN_SEED_ENV: &str = "XR_CAMPAIGN_SEED";
+
+/// Parses an `XR_CAMPAIGN_SEED` token: an unsigned 64-bit seed.
+///
+/// # Errors
+///
+/// Returns a message naming the variable and the token when the token is
+/// not an unsigned 64-bit integer.
+fn parse_seed(token: &str) -> std::result::Result<u64, String> {
+    token.parse::<u64>().map_err(|_| {
+        format!("invalid {CAMPAIGN_SEED_ENV} `{token}`: expected an unsigned 64-bit seed")
+    })
+}
+
+/// The token after `flag` in `args`, or `None` without the flag; exits with
+/// status 2 when the flag is the last token, so a missing value is never
+/// replaced by an environment variable or a default.
+fn flag_value(args: &[String], flag: &str, what: &str) -> Option<String> {
+    let position = args.iter().position(|a| a == flag)?;
+    let Some(token) = args.get(position + 1) else {
+        eprintln!("{flag} requires {what}");
+        std::process::exit(2);
+    };
+    Some(token.clone())
+}
+
 /// Checks the value of `var`, if set, with `parse`; exits with status 2 and
 /// the parser's message when the value is rejected.
 fn env_or_exit<T>(var: &str, parse: fn(&str) -> std::result::Result<T, String>) -> Option<T> {
@@ -121,8 +149,10 @@ impl ExperimentContext {
     /// sanctioned draw-scheme re-keys (see `xr_stats::equivalence`).
     ///
     /// A malformed `XR_SWEEP_WORKERS`, `XR_FUSED_POINTS`,
-    /// `XR_SESSION_CHUNKS` or `XR_REORDER_CAP` value ends the process with
-    /// status 2 and a message quoting the bad value.
+    /// `XR_CAMPAIGN_SEED`, `XR_SESSION_CHUNKS` or `XR_REORDER_CAP` value,
+    /// and a `--session-chunks` or `--reorder-cap` flag without a value,
+    /// end the process with status 2 and a message naming the bad input,
+    /// before calibration.
     ///
     /// # Panics
     ///
@@ -130,30 +160,13 @@ impl ExperimentContext {
     /// which only happens when the measurement campaign is empty.
     #[must_use]
     pub fn from_args() -> Self {
-        // Rejected before calibration, so a typo fails fast. The runner
-        // reads the worker count itself (see `runner`).
+        // Every input is checked before calibration, so a typo fails fast.
+        // The runner reads the worker count itself (see `runner`).
         env_or_exit(WORKERS_ENV, parse_workers);
         let fused_env = env_or_exit(FUSED_POINTS_ENV, parse_fused_points).unwrap_or(false);
-        let paper_scale = std::env::args().any(|a| a == "--paper-scale");
-        let seed = std::env::var("XR_CAMPAIGN_SEED")
-            .ok()
-            .and_then(|s| s.parse::<u64>().ok())
-            .unwrap_or(2024);
-        let ctx = if paper_scale {
-            Self::paper_scale(seed)
-        } else {
-            Self::quick(seed)
-        };
-        let mut ctx = ctx.expect("failed to calibrate the analytical framework");
-        if std::env::args().any(|a| a == "--scalar-sessions") {
-            ctx = ctx.with_scalar_sessions();
-        }
+        let seed = env_or_exit(CAMPAIGN_SEED_ENV, parse_seed).unwrap_or(2024);
         let args: Vec<String> = std::env::args().collect();
-        let chunks = args
-            .iter()
-            .position(|a| a == "--session-chunks")
-            .and_then(|position| args.get(position + 1))
-            .cloned()
+        let chunks = flag_value(&args, "--session-chunks", "a session-chunk count")
             .or_else(|| std::env::var("XR_SESSION_CHUNKS").ok())
             .map(|token| {
                 token.parse::<usize>().unwrap_or_else(|_| {
@@ -161,17 +174,7 @@ impl ExperimentContext {
                     std::process::exit(2);
                 })
             });
-        if let Some(chunks) = chunks {
-            ctx = ctx.with_session_chunks(chunks);
-        }
-        if fused_env || std::env::args().any(|a| a == "--fused-points") {
-            ctx = ctx.with_fused_points();
-        }
-        let cap = args
-            .iter()
-            .position(|a| a == "--reorder-cap")
-            .and_then(|position| args.get(position + 1))
-            .cloned()
+        let cap = flag_value(&args, "--reorder-cap", "a reorder cap")
             .or_else(|| std::env::var("XR_REORDER_CAP").ok())
             .map(|token| {
                 parse_reorder_cap(&token).unwrap_or_else(|message| {
@@ -179,6 +182,21 @@ impl ExperimentContext {
                     std::process::exit(2);
                 })
             });
+        let ctx = if args.iter().any(|a| a == "--paper-scale") {
+            Self::paper_scale(seed)
+        } else {
+            Self::quick(seed)
+        };
+        let mut ctx = ctx.expect("failed to calibrate the analytical framework");
+        if args.iter().any(|a| a == "--scalar-sessions") {
+            ctx = ctx.with_scalar_sessions();
+        }
+        if let Some(chunks) = chunks {
+            ctx = ctx.with_session_chunks(chunks);
+        }
+        if fused_env || args.iter().any(|a| a == "--fused-points") {
+            ctx = ctx.with_fused_points();
+        }
         if let Some(cap) = cap {
             ctx = ctx.with_reorder_cap(cap);
         }
@@ -526,6 +544,32 @@ mod tests {
         );
         assert!(parse_workers("-1").is_err());
         assert!(parse_workers("").is_err());
+    }
+
+    #[test]
+    fn seed_tokens_parse_or_name_the_variable() {
+        assert_eq!(parse_seed("2025"), Ok(2025));
+        assert_eq!(parse_seed("18446744073709551615"), Ok(u64::MAX));
+        assert_eq!(
+            parse_seed("abc"),
+            Err("invalid XR_CAMPAIGN_SEED `abc`: expected an unsigned 64-bit seed".to_string())
+        );
+        assert!(parse_seed("-1").is_err());
+        assert!(parse_seed("").is_err());
+        assert!(parse_seed("18446744073709551616").is_err());
+    }
+
+    #[test]
+    fn flag_values_are_the_next_token() {
+        let args: Vec<String> = ["campaign", "--reorder-cap", "8", "--progress"]
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(
+            flag_value(&args, "--reorder-cap", "a reorder cap"),
+            Some("8".to_string())
+        );
+        assert_eq!(flag_value(&args, "--session-chunks", "a count"), None);
     }
 
     #[test]

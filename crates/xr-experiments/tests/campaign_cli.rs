@@ -1,7 +1,8 @@
 //! The `campaign` binary's failure paths: a grid point the model cannot
 //! evaluate ends the run with a one-line error and exit status 1, and a
-//! malformed environment value ends it with status 2 before any work. No
-//! failure may surface as a panic.
+//! malformed environment value or a value-taking flag given as the last
+//! token ends it with status 2 before any work. No failure may surface as
+//! a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -57,12 +58,36 @@ fn a_saturated_grid_fails_with_a_message_not_a_panic() {
 #[test]
 fn malformed_environment_values_are_named_and_rejected() {
     let dir = scratch("campaign_cli_env");
-    for (var, token) in [("XR_SWEEP_WORKERS", "abc"), ("XR_FUSED_POINTS", "yes")] {
+    for (var, token) in [
+        ("XR_SWEEP_WORKERS", "abc"),
+        ("XR_FUSED_POINTS", "yes"),
+        ("XR_CAMPAIGN_SEED", "abc"),
+        ("XR_CAMPAIGN_SEED", "-1"),
+    ] {
         let (output, stderr) = campaign(&dir, &[], &[(var, token)]);
         assert_eq!(output.status.code(), Some(2), "{var}={token}: {stderr}");
         assert!(
             stderr.contains(var) && stderr.contains(&format!("`{token}`")),
             "{var}={token}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn value_flags_without_a_value_are_named_and_rejected() {
+    let dir = scratch("campaign_cli_flags");
+    // The variables are set to valid values: a missing flag value must not
+    // fall back to them (or to a default).
+    for (flag, var, valid) in [
+        ("--session-chunks", "XR_SESSION_CHUNKS", "2"),
+        ("--reorder-cap", "XR_REORDER_CAP", "64"),
+    ] {
+        let (output, stderr) = campaign(&dir, &[flag], &[(var, valid)]);
+        assert_eq!(output.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+        assert!(
+            !dir.join("target/experiments/campaign.csv").exists(),
+            "{flag}: the campaign ran"
         );
     }
 }

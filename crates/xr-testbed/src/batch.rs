@@ -44,9 +44,12 @@
 //!
 //! All column storage (`FrameBatch`, `DrawColumns`, the walker's
 //! crossing counts) is allocated once per session and reused across
-//! batches, and the emitted [`GroundTruthFrame`]s hold their per-segment
-//! measurements in fixed slot arrays — the steady-state frame loop
-//! performs **no** per-frame heap allocation at all.
+//! batches, and the finalize stage folds each [`GroundTruthFrame`] into
+//! the session's running [`crate::SessionStats`] instead of storing it —
+//! the steady-state frame loop performs **no** per-frame heap allocation
+//! at all, and a session's memory is proportional to the batch width, not
+//! the frame count. Only a simulator built with
+//! [`TestbedSimulator::with_frame_log`] also keeps the frames.
 //!
 //! Bit-identity with the scalar reference
 //! ([`TestbedSimulator::simulate_session_scalar`]) is pinned by unit tests
@@ -57,7 +60,8 @@
 
 use crate::laws::DeviceBias;
 use crate::simulator::{
-    stream, ContentionPlan, GroundTruthFrame, GroundTruthSession, SessionState, TestbedSimulator,
+    stream, ContentionPlan, FrameLog, FrameSink, GroundTruthFrame, GroundTruthSession,
+    SessionState, SessionStats, TestbedSimulator,
 };
 use rand_distr::{column, Distribution, Exp, Normal, StandardNormalPairs};
 use xr_core::Scenario;
@@ -636,6 +640,20 @@ impl TestbedSimulator {
         frames: std::ops::Range<u64>,
         width: usize,
     ) -> Result<GroundTruthSession> {
+        if self.keeps_frame_log() {
+            self.batched_range::<FrameLog>(scenario, frames, width)
+        } else {
+            self.batched_range::<SessionStats>(scenario, frames, width)
+        }
+    }
+
+    /// [`TestbedSimulator::simulate_session_range_batched`] into sink `S`.
+    fn batched_range<S: FrameSink>(
+        &self,
+        scenario: &Scenario,
+        frames: std::ops::Range<u64>,
+        width: usize,
+    ) -> Result<GroundTruthSession> {
         Self::validate_range(&frames)?;
         scenario.validate()?;
         let width = width.max(1) as u64;
@@ -644,7 +662,7 @@ impl TestbedSimulator {
         self.fast_forward_session(scenario, &mut session, frames.start);
         let mut batch = FrameBatch::new();
         let mut draws = DrawColumns::new();
-        let mut out = vec![Vec::with_capacity((frames.end - frames.start) as usize)];
+        let mut out = [S::with_capacity((frames.end - frames.start) as usize)];
         let mut first = frames.start + 1;
         while first <= frames.end {
             let n = width.min(frames.end - first + 1) as usize;
@@ -658,25 +676,22 @@ impl TestbedSimulator {
             );
             first += n as u64;
         }
-        Ok(GroundTruthSession {
-            frames: out.pop().expect("one fused lane"),
-            migration_time: session.migration_time,
-            sites_visited: session.sites_visited(),
-        })
+        let [sink] = out;
+        Ok(sink.into_session(session.migration_time, session.sites_visited()))
     }
 
     /// Runs the ten column stages over one prepared batch: the shared body
     /// of the per-session driver above (`sessions.len() == 1`) and the
     /// replication-fused point driver
     /// ([`TestbedSimulator::simulate_point`]), which passes one session
-    /// state and one output vector per fused replication.
-    fn batch_pass(
+    /// state and one sink per fused replication.
+    fn batch_pass<S: FrameSink>(
         &self,
         consts: &BatchConsts,
         batch: &mut FrameBatch,
         draws: &mut DrawColumns,
         sessions: &mut [SessionState],
-        outs: &mut [Vec<GroundTruthFrame>],
+        outs: &mut [S],
     ) {
         self.batch_walk(consts, batch, sessions);
         self.batch_generate(consts, batch, draws);
@@ -750,6 +765,24 @@ impl TestbedSimulator {
                 "must be at least 1",
             ));
         }
+        if self.keeps_frame_log() {
+            self.fused_point::<FrameLog>(scenario, point_seed, reps, frames, width)
+        } else {
+            self.fused_point::<SessionStats>(scenario, point_seed, reps, frames, width)
+        }
+    }
+
+    /// The fused arm of [`TestbedSimulator::simulate_point`] into one sink
+    /// `S` per replication.
+    fn fused_point<S: FrameSink>(
+        &self,
+        scenario: &Scenario,
+        point_seed: u64,
+        reps: usize,
+        frames: u64,
+        width: usize,
+    ) -> Result<Vec<GroundTruthSession>> {
+        let rep_seed = |rep: usize| xr_types::seed::mix(point_seed, rep as u64);
         scenario.validate()?;
         let consts = {
             let seeds: Vec<u64> = (0..reps).map(rep_seed).collect();
@@ -758,8 +791,8 @@ impl TestbedSimulator {
         let mut sessions: Vec<SessionState> = (0..reps)
             .map(|rep| SessionState::new(&self.reseeded(rep_seed(rep)), scenario))
             .collect();
-        let mut outs: Vec<Vec<GroundTruthFrame>> = (0..reps)
-            .map(|_| Vec::with_capacity(frames as usize))
+        let mut outs: Vec<S> = (0..reps)
+            .map(|_| S::with_capacity(frames as usize))
             .collect();
         // Split the lane budget evenly across the replications so the fused
         // batch touches about as much column memory per pass as a plain
@@ -777,10 +810,8 @@ impl TestbedSimulator {
         Ok(sessions
             .iter()
             .zip(outs)
-            .map(|(session, frames)| GroundTruthSession {
-                frames,
-                migration_time: session.migration_time,
-                sites_visited: session.sites_visited(),
+            .map(|(session, sink)| {
+                sink.into_session(session.migration_time, session.sites_visited())
             })
             .collect())
     }
@@ -1175,17 +1206,12 @@ impl TestbedSimulator {
     }
 
     /// Stage 10 — Eq. 1 gating and the Monsoon-style energy measurement,
-    /// one output frame per column entry. The per-segment maps are clones
-    /// of the session's zeroed templates with values rewritten in key
-    /// order — `Segment::ALL` order, the same order the scalar finalizer's
-    /// `BTreeMap` yields — so every floating-point sum accumulates
-    /// identically and the emitted maps compare equal.
-    fn batch_finalize(
-        &self,
-        k: &BatchConsts,
-        b: &mut FrameBatch,
-        outs: &mut [Vec<GroundTruthFrame>],
-    ) {
+    /// one frame per column entry, pushed into its replication's sink in
+    /// frame order. The per-segment values are written in `Segment::ALL`
+    /// order — the order the scalar finalizer walks — so every
+    /// floating-point sum accumulates identically and the frames compare
+    /// equal.
+    fn batch_finalize<S: FrameSink>(&self, k: &BatchConsts, b: &mut FrameBatch, outs: &mut [S]) {
         // Column prologue: the Eq. 1 latency total and the thermal-share
         // compute energy are plain slot-ascending accumulations, so they
         // run as one contiguous add pass per included slot — per frame the
@@ -1248,6 +1274,12 @@ mod tests {
     use super::*;
     use xr_types::{ExecutionTarget, GigaHertz, Meters, MetersPerSecond};
 
+    /// A simulator that keeps its frame log, so every engine-agreement
+    /// assertion below compares whole frame vectors, not only the sums.
+    fn logged(seed: u64) -> TestbedSimulator {
+        TestbedSimulator::new(seed).with_frame_log(true)
+    }
+
     fn scenario(side: f64, clock: f64, target: ExecutionTarget) -> Scenario {
         Scenario::builder()
             .frame_side(side)
@@ -1271,7 +1303,7 @@ mod tests {
 
     #[test]
     fn batched_sessions_match_the_scalar_reference_bit_for_bit() {
-        let testbed = TestbedSimulator::new(42);
+        let testbed = logged(42);
         for target in [
             ExecutionTarget::Local,
             ExecutionTarget::Remote,
@@ -1279,6 +1311,7 @@ mod tests {
         ] {
             let s = scenario(500.0, 2.0, target);
             let scalar = testbed.simulate_session_scalar(&s, 37).unwrap();
+            assert!(scalar.frames().is_some());
             for width in [1, 2, 7, 37, 64, 100] {
                 let batched = testbed.simulate_session_batched(&s, 37, width).unwrap();
                 assert_eq!(batched, scalar, "{target:?} diverged at width {width}");
@@ -1291,9 +1324,10 @@ mod tests {
         // The sequential handoff scan is the only cross-frame state; widths
         // that chop the session mid-walk must not lose the fractional-step
         // carry or re-seed the walker.
-        let testbed = TestbedSimulator::new(5);
+        let testbed = logged(5);
         let s = mobile_scenario(25.0, 8.0);
         let scalar = testbed.simulate_session_scalar(&s, 101).unwrap();
+        assert!(scalar.frames().is_some());
         assert!(scalar.handoff_rate() > 0.0, "mobile session never crossed");
         for width in [1, 3, 16, 101, 128] {
             let batched = testbed.simulate_session_batched(&s, 101, width).unwrap();
@@ -1303,7 +1337,7 @@ mod tests {
 
     #[test]
     fn default_engine_is_batched_and_dispatch_honors_overrides() {
-        let testbed = TestbedSimulator::new(9);
+        let testbed = logged(9);
         assert_eq!(
             testbed.engine(),
             SimulationEngine::Batched {
@@ -1312,6 +1346,7 @@ mod tests {
         );
         let s = scenario(400.0, 2.5, ExecutionTarget::Remote);
         let default = testbed.simulate_session(&s, 23).unwrap();
+        assert!(default.frames().is_some());
         let scalar = testbed
             .clone()
             .with_engine(SimulationEngine::Scalar)
@@ -1345,7 +1380,7 @@ mod tests {
         // CONTENTION streams; every width (including tails) must still
         // reproduce the scalar reference exactly, for full and split
         // offloading and for a noiseless simulator.
-        let testbed = TestbedSimulator::new(31);
+        let testbed = logged(31);
         for target in [
             ExecutionTarget::Remote,
             ExecutionTarget::Split { client_share: 0.4 },
@@ -1358,12 +1393,13 @@ mod tests {
                 .build()
                 .unwrap();
             let scalar = testbed.simulate_session_scalar(&s, 41).unwrap();
+            assert!(scalar.frames().is_some());
             for width in [1, 2, 5, 41, 64] {
                 let batched = testbed.simulate_session_batched(&s, 41, width).unwrap();
                 assert_eq!(batched, scalar, "{target:?} diverged at width {width}");
             }
         }
-        let noiseless = TestbedSimulator::new(32).with_noise(0.0);
+        let noiseless = logged(32).with_noise(0.0);
         let s = Scenario::builder()
             .execution(ExecutionTarget::Remote)
             .frame_side(300.0)
@@ -1372,6 +1408,7 @@ mod tests {
             .build()
             .unwrap();
         let scalar = noiseless.simulate_session_scalar(&s, 17).unwrap();
+        assert!(scalar.frames().is_some());
         let batched = noiseless.simulate_session_batched(&s, 17, 6).unwrap();
         assert_eq!(batched, scalar);
     }
@@ -1424,7 +1461,7 @@ mod tests {
         // reference exactly — contended sessions included, since they pull
         // per-site M/M/1 plans instead of the base plan.
         use xr_types::{MigrationPolicy, TopologyLayout};
-        let testbed = TestbedSimulator::new(51);
+        let testbed = logged(51);
         for layout in [
             TopologyLayout::Square,
             TopologyLayout::Hex,
@@ -1434,6 +1471,7 @@ mod tests {
                 for users in [None, Some(3)] {
                     let s = topology_scenario(layout, policy, 2500.0, users);
                     let scalar = testbed.simulate_session_scalar(&s, 97).unwrap();
+                    assert!(scalar.frames().is_some());
                     for width in [1, 3, 17, 97, 128] {
                         let batched = testbed.simulate_session_batched(&s, 97, width).unwrap();
                         assert_eq!(
@@ -1463,7 +1501,7 @@ mod tests {
         // all: same walker stream, no MIGRATION draws, and (when contended)
         // a per-site plan equal to the base plan — in both engines.
         use xr_types::{MigrationPolicy, TopologyLayout};
-        let testbed = TestbedSimulator::new(52);
+        let testbed = logged(52);
         for users in [None, Some(4)] {
             let mut legacy = Scenario::builder()
                 .execution(ExecutionTarget::Remote)
@@ -1485,6 +1523,7 @@ mod tests {
                 migration_policy: MigrationPolicy::Eager,
             });
             let reference = testbed.simulate_session_scalar(&legacy, 73).unwrap();
+            assert!(reference.frames().is_some());
             assert!(reference.handoff_rate() > 0.0);
             assert_eq!(
                 testbed.simulate_session_scalar(&single, 73).unwrap(),
@@ -1506,9 +1545,10 @@ mod tests {
     #[test]
     fn noiseless_topologized_batches_still_match() {
         use xr_types::{MigrationPolicy, TopologyLayout};
-        let testbed = TestbedSimulator::new(53).with_noise(0.0);
+        let testbed = logged(53).with_noise(0.0);
         let s = topology_scenario(TopologyLayout::Hex, MigrationPolicy::Lazy, 2500.0, Some(2));
         let scalar = testbed.simulate_session_scalar(&s, 48).unwrap();
+        assert!(scalar.frames().is_some());
         for width in [1, 7, 48] {
             let batched = testbed.simulate_session_batched(&s, 48, width).unwrap();
             assert_eq!(batched, scalar, "noiseless topology diverged at {width}");
@@ -1524,14 +1564,16 @@ mod tests {
         reps: usize,
         frames: u64,
     ) -> Vec<GroundTruthSession> {
-        (0..reps)
+        let sessions: Vec<_> = (0..reps)
             .map(|rep| {
                 testbed
                     .reseeded(xr_types::seed::mix(point_seed, rep as u64))
                     .simulate_session(s, frames)
                     .unwrap()
             })
-            .collect()
+            .collect();
+        assert!(sessions.iter().all(|s| s.frames().is_some()));
+        sessions
     }
 
     #[test]
@@ -1542,7 +1584,7 @@ mod tests {
             ("remote", scenario(500.0, 2.0, ExecutionTarget::Remote)),
             ("mobile", mobile_scenario(25.0, 8.0)),
         ] {
-            let testbed = TestbedSimulator::new(42);
+            let testbed = logged(42);
             let reference = per_rep_reference(&testbed, &s, point_seed, 4, 37);
             for width in [1, 7, 64, 256] {
                 let fused = testbed
@@ -1558,8 +1600,7 @@ mod tests {
     #[test]
     fn fused_topologized_and_contended_points_match_per_rep_sessions() {
         use xr_types::{MigrationPolicy, TopologyLayout};
-        let testbed =
-            TestbedSimulator::new(51).with_engine(SimulationEngine::FusedPoint { width: 96 });
+        let testbed = logged(51).with_engine(SimulationEngine::FusedPoint { width: 96 });
         let point_seed = xr_types::seed::mix(7, 3);
         let topo = topology_scenario(
             TopologyLayout::Square,
@@ -1597,13 +1638,12 @@ mod tests {
         let point_seed = 99;
         // reps == 1, scalar engine, and chunked sessions all take the
         // per-rep fallback; each must equal the per-rep reference.
-        let fused =
-            TestbedSimulator::new(9).with_engine(SimulationEngine::FusedPoint { width: 32 });
+        let fused = logged(9).with_engine(SimulationEngine::FusedPoint { width: 32 });
         assert_eq!(
             fused.simulate_point(&s, point_seed, 1, 23).unwrap(),
             per_rep_reference(&fused, &s, point_seed, 1, 23)
         );
-        let scalar = TestbedSimulator::new(9).with_engine(SimulationEngine::Scalar);
+        let scalar = logged(9).with_engine(SimulationEngine::Scalar);
         assert_eq!(
             scalar.simulate_point(&s, point_seed, 3, 23).unwrap(),
             per_rep_reference(&scalar, &s, point_seed, 3, 23)
@@ -1635,9 +1675,10 @@ mod tests {
 
     #[test]
     fn fused_engine_runs_single_sessions_like_batched() {
-        let testbed = TestbedSimulator::new(9);
+        let testbed = logged(9);
         let s = scenario(400.0, 2.5, ExecutionTarget::Remote);
         let reference = testbed.simulate_session(&s, 23).unwrap();
+        assert!(reference.frames().is_some());
         let fused = testbed
             .clone()
             .with_engine(SimulationEngine::FusedPoint { width: 64 })
@@ -1656,9 +1697,10 @@ mod tests {
 
     #[test]
     fn noiseless_batches_still_match() {
-        let testbed = TestbedSimulator::new(11).with_noise(0.0);
+        let testbed = logged(11).with_noise(0.0);
         let s = scenario(600.0, 1.5, ExecutionTarget::Remote);
         let scalar = testbed.simulate_session_scalar(&s, 10).unwrap();
+        assert!(scalar.frames().is_some());
         let batched = testbed.simulate_session_batched(&s, 10, 4).unwrap();
         assert_eq!(batched, scalar);
     }
@@ -1668,9 +1710,10 @@ mod tests {
         // The noiseless paths skip whole column fills (no seeding at all);
         // make sure every gated combination still matches the scalar
         // reference, including the handoff stage's 1.0 factor.
-        let testbed = TestbedSimulator::new(13).with_noise(0.0);
+        let testbed = logged(13).with_noise(0.0);
         let mobile = mobile_scenario(25.0, 8.0);
         let scalar = testbed.simulate_session_scalar(&mobile, 64).unwrap();
+        assert!(scalar.frames().is_some());
         assert!(scalar.handoff_rate() > 0.0);
         for width in [1, 5, 64] {
             let batched = testbed
@@ -1680,6 +1723,7 @@ mod tests {
         }
         let split = scenario(450.0, 2.2, ExecutionTarget::Split { client_share: 0.5 });
         let scalar = testbed.simulate_session_scalar(&split, 33).unwrap();
+        assert!(scalar.frames().is_some());
         let batched = testbed.simulate_session_batched(&split, 33, 8).unwrap();
         assert_eq!(batched, scalar);
     }

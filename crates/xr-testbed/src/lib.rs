@@ -18,7 +18,9 @@
 //! * [`simulator`] — the per-frame / per-session pipeline simulator that
 //!   produces ground-truth latency and energy breakdowns (with queueing,
 //!   handoff, and measurement noise). Every stage draws from its own named
-//!   RNG stream keyed by `(session_seed, stage_id, frame_index)`.
+//!   RNG stream keyed by `(session_seed, stage_id, frame_index)`. A session
+//!   folds its frames into running [`SessionStats`] and keeps the frames
+//!   themselves only under [`TestbedSimulator::with_frame_log`].
 //! * [`batch`] — the batched structure-of-arrays session engine: stages run
 //!   as column loops over many frames, bit-identical to the scalar
 //!   reference; [`TestbedSimulator::simulate_session`] uses it by default.
@@ -54,5 +56,6 @@ pub use dataset::{CalibratedModels, MeasurementCampaign, MeasurementDataset};
 pub use laws::{DeviceBias, TrueLaws};
 pub use power::{PowerMonitor, PowerTrace};
 pub use simulator::{
-    ContentionSnapshot, GroundTruthFrame, GroundTruthSession, SessionState, TestbedSimulator,
+    ContentionSnapshot, GroundTruthFrame, GroundTruthSession, SessionState, SessionStats,
+    TestbedSimulator,
 };

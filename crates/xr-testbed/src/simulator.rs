@@ -162,10 +162,160 @@ impl GroundTruthFrame {
     }
 }
 
+/// Running per-session sums of the per-frame ground truth: the frame count,
+/// the number of frames that handed off, and the sums of the end-to-end
+/// latency, the total energy and every segment's latency.
+///
+/// Every sum starts at `-0.0` and adds one frame at a time in frame order,
+/// which is exactly how `Iterator::sum::<f64>` folds, so each mean equals
+/// the mean a caller would compute from the session's frames bit for bit.
+/// Campaigns read only these means, so a session needs no per-frame storage
+/// unless the simulator was built with
+/// [`TestbedSimulator::with_frame_log`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct SessionStats {
+    frames: u64,
+    handoff_frames: u64,
+    latency_sum: f64,
+    energy_sum: f64,
+    /// Per-segment latency sums, indexed by [`Segment::slot`].
+    segment_latency_sums: [f64; Segment::ALL.len()],
+}
+
+impl Default for SessionStats {
+    fn default() -> Self {
+        Self {
+            frames: 0,
+            handoff_frames: 0,
+            latency_sum: -0.0,
+            energy_sum: -0.0,
+            segment_latency_sums: [-0.0; Segment::ALL.len()],
+        }
+    }
+}
+
+impl SessionStats {
+    /// Folds the next frame of the session into the sums.
+    pub(crate) fn add(&mut self, frame: &GroundTruthFrame) {
+        self.frames += 1;
+        self.handoff_frames += u64::from(frame.handoff_occurred);
+        self.latency_sum += frame.total_latency.as_f64();
+        self.energy_sum += frame.total_energy.as_f64();
+        for (sum, latency) in self.segment_latency_sums.iter_mut().zip(&frame.latency) {
+            *sum += latency.as_f64();
+        }
+    }
+
+    /// `sum / frames`, or zero before the first frame.
+    fn mean(&self, sum: f64) -> f64 {
+        if self.frames == 0 {
+            return 0.0;
+        }
+        sum / self.frames as f64
+    }
+
+    /// Mean end-to-end latency.
+    #[must_use]
+    pub fn mean_latency(&self) -> Seconds {
+        Seconds::new(self.mean(self.latency_sum))
+    }
+
+    /// Mean per-frame energy.
+    #[must_use]
+    pub fn mean_energy(&self) -> Joules {
+        Joules::new(self.mean(self.energy_sum))
+    }
+
+    /// Mean latency of one segment.
+    #[must_use]
+    pub fn mean_segment_latency(&self, segment: Segment) -> Seconds {
+        Seconds::new(self.mean(self.segment_latency_sums[segment.slot()]))
+    }
+
+    /// Fraction of frames that experienced a handoff.
+    #[must_use]
+    pub fn handoff_rate(&self) -> f64 {
+        self.mean(self.handoff_frames as f64)
+    }
+}
+
+/// Where an engine's finalize step delivers each session's frames, in
+/// frame order: [`SessionStats`] keeps only the running sums, [`FrameLog`]
+/// keeps the frames as well. The engines are generic over the sink, so the
+/// stats-only and the logged session share every line of stage and
+/// finalize code.
+pub(crate) trait FrameSink {
+    /// An empty sink for a session of `frames` frames.
+    fn with_capacity(frames: usize) -> Self;
+    /// Takes the session's next frame.
+    fn push(&mut self, frame: GroundTruthFrame);
+    /// The finished session, with the walker tallies of its last frame.
+    fn into_session(self, migration_time: Seconds, sites_visited: u32) -> GroundTruthSession;
+}
+
+impl FrameSink for SessionStats {
+    fn with_capacity(_frames: usize) -> Self {
+        Self::default()
+    }
+
+    #[inline]
+    fn push(&mut self, frame: GroundTruthFrame) {
+        self.add(&frame);
+    }
+
+    fn into_session(self, migration_time: Seconds, sites_visited: u32) -> GroundTruthSession {
+        GroundTruthSession {
+            stats: self,
+            frames: None,
+            migration_time,
+            sites_visited,
+        }
+    }
+}
+
+/// The opt-in sink of [`TestbedSimulator::with_frame_log`]: the running
+/// sums plus every frame.
+pub(crate) struct FrameLog {
+    stats: SessionStats,
+    frames: Vec<GroundTruthFrame>,
+}
+
+impl FrameSink for FrameLog {
+    fn with_capacity(frames: usize) -> Self {
+        Self {
+            stats: SessionStats::default(),
+            frames: Vec::with_capacity(frames),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, frame: GroundTruthFrame) {
+        self.stats.add(&frame);
+        self.frames.push(frame);
+    }
+
+    fn into_session(self, migration_time: Seconds, sites_visited: u32) -> GroundTruthSession {
+        GroundTruthSession {
+            stats: self.stats,
+            frames: Some(self.frames),
+            migration_time,
+            sites_visited,
+        }
+    }
+}
+
 /// Ground-truth measurements for a whole session (many frames).
+///
+/// A session always carries its [`SessionStats`]; it carries the frames
+/// themselves only when the simulator was built with
+/// [`TestbedSimulator::with_frame_log`]. Two sessions compare equal only
+/// when both carry the same frames (or both carry none) and the same sums
+/// and tallies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GroundTruthSession {
-    pub(crate) frames: Vec<GroundTruthFrame>,
+    pub(crate) stats: SessionStats,
+    /// The per-frame measurements, when the frame log is on.
+    pub(crate) frames: Option<Vec<GroundTruthFrame>>,
     /// Total inter-site state-migration latency paid over the session
     /// (zero without a multi-edge topology).
     pub(crate) migration_time: Seconds,
@@ -175,88 +325,75 @@ pub struct GroundTruthSession {
 }
 
 impl GroundTruthSession {
-    /// The per-frame measurements.
+    /// The per-frame measurements, or `None` unless the simulator was built
+    /// with [`TestbedSimulator::with_frame_log`].
     #[must_use]
-    pub fn frames(&self) -> &[GroundTruthFrame] {
-        &self.frames
+    pub fn frames(&self) -> Option<&[GroundTruthFrame]> {
+        self.frames.as_deref()
+    }
+
+    /// The running per-session sums every mean below is read from.
+    #[must_use]
+    pub fn stats(&self) -> &SessionStats {
+        &self.stats
+    }
+
+    /// Number of frames in the session.
+    #[must_use]
+    pub fn frame_count(&self) -> u64 {
+        self.stats.frames
     }
 
     /// Mean end-to-end latency over the session.
     #[must_use]
     pub fn mean_latency(&self) -> Seconds {
-        if self.frames.is_empty() {
-            return Seconds::ZERO;
-        }
-        Seconds::new(
-            self.frames
-                .iter()
-                .map(|f| f.total_latency.as_f64())
-                .sum::<f64>()
-                / self.frames.len() as f64,
-        )
+        self.stats.mean_latency()
     }
 
     /// Mean per-frame energy over the session.
     #[must_use]
     pub fn mean_energy(&self) -> Joules {
-        if self.frames.is_empty() {
-            return Joules::ZERO;
-        }
-        Joules::new(
-            self.frames
-                .iter()
-                .map(|f| f.total_energy.as_f64())
-                .sum::<f64>()
-                / self.frames.len() as f64,
-        )
+        self.stats.mean_energy()
     }
 
     /// Mean latency of one segment over the session.
     #[must_use]
     pub fn mean_segment_latency(&self, segment: Segment) -> Seconds {
-        if self.frames.is_empty() {
-            return Seconds::ZERO;
-        }
-        Seconds::new(
-            self.frames
-                .iter()
-                .map(|f| f.segment_latency(segment).as_f64())
-                .sum::<f64>()
-                / self.frames.len() as f64,
-        )
+        self.stats.mean_segment_latency(segment)
     }
 
-    /// Summary statistics of the per-frame total latency (in milliseconds).
+    /// Summary statistics of the per-frame total latency (in milliseconds),
+    /// or `None` unless the simulator was built with
+    /// [`TestbedSimulator::with_frame_log`].
     #[must_use]
-    pub fn latency_summary(&self) -> Summary {
-        Summary::of(
-            &self
-                .frames
+    pub fn latency_summary(&self) -> Option<Summary> {
+        let frames = self.frames()?;
+        Some(Summary::of(
+            &frames
                 .iter()
                 .map(|f| f.total_latency.as_f64() * 1e3)
                 .collect::<Vec<_>>(),
-        )
+        ))
     }
 
-    /// Summary statistics of the per-frame energy (in millijoules).
+    /// Summary statistics of the per-frame energy (in millijoules), or
+    /// `None` unless the simulator was built with
+    /// [`TestbedSimulator::with_frame_log`].
     #[must_use]
-    pub fn energy_summary(&self) -> Summary {
-        Summary::of(
-            &self
-                .frames
+    pub fn energy_summary(&self) -> Option<Summary> {
+        let frames = self.frames()?;
+        Some(Summary::of(
+            &frames
                 .iter()
                 .map(|f| f.total_energy.as_f64() * 1e3)
                 .collect::<Vec<_>>(),
-        )
+        ))
     }
 
     /// Fraction of frames that experienced a handoff.
     #[must_use]
     pub fn handoff_rate(&self) -> f64 {
-        if self.frames.is_empty() {
-            return 0.0;
-        }
-        self.frames.iter().filter(|f| f.handoff_occurred).count() as f64 / self.frames.len() as f64
+        self.stats.handoff_rate()
     }
 
     /// Total inter-site state-migration latency paid over the session. Zero
@@ -271,10 +408,7 @@ impl GroundTruthSession {
     /// the frame count).
     #[must_use]
     pub fn mean_migration_latency(&self) -> Seconds {
-        if self.frames.is_empty() {
-            return Seconds::ZERO;
-        }
-        Seconds::new(self.migration_time.as_f64() / self.frames.len() as f64)
+        Seconds::new(self.stats.mean(self.migration_time.as_f64()))
     }
 
     /// Number of distinct edge sites the session attached to, including the
@@ -307,6 +441,10 @@ pub struct TestbedSimulator {
     /// (evaluated on scoped threads, stitched bit-identically); 1 keeps the
     /// single-range path.
     session_chunks: usize,
+    /// Whether sessions keep every [`GroundTruthFrame`] besides their
+    /// [`SessionStats`] (off by default; see
+    /// [`TestbedSimulator::with_frame_log`]).
+    frame_log: bool,
 }
 
 impl TestbedSimulator {
@@ -326,6 +464,7 @@ impl TestbedSimulator {
             noise_sigma: 0.04,
             engine: SimulationEngine::default(),
             session_chunks: 1,
+            frame_log: false,
         }
     }
 
@@ -360,6 +499,26 @@ impl TestbedSimulator {
     #[must_use]
     pub fn session_chunks(&self) -> usize {
         self.session_chunks
+    }
+
+    /// Makes every session keep its per-frame [`GroundTruthFrame`]s
+    /// ([`GroundTruthSession::frames`], and the per-frame summaries built
+    /// from them) besides its running [`SessionStats`]. Off by default:
+    /// campaigns read only the per-session means, so a default session
+    /// holds memory proportional to the batch width, not the frame count.
+    /// Tests that compare engines frame by frame and figures that plot
+    /// per-frame spreads turn it on. The means are bit-identical either
+    /// way.
+    #[must_use]
+    pub fn with_frame_log(mut self, keep: bool) -> Self {
+        self.frame_log = keep;
+        self
+    }
+
+    /// Whether sessions keep their per-frame measurements.
+    #[must_use]
+    pub fn keeps_frame_log(&self) -> bool {
+        self.frame_log
     }
 
     /// Overrides the true laws (used by failure-injection tests).
@@ -1159,11 +1318,11 @@ impl TestbedSimulator {
     /// returned session's `migration_time`, `sites_visited` and the serving
     /// site of every range frame also match bit for bit.
     ///
-    /// The returned [`GroundTruthSession`] holds the range's frames only;
+    /// The returned [`GroundTruthSession`] covers the range's frames only;
     /// its `migration_time` and `sites_visited` tallies are **cumulative
-    /// through the end of the range** (frames `1..=b`). Concatenating the
-    /// frames of consecutive ranges and keeping the *last* range's tallies
-    /// therefore reconstructs the whole-session result exactly —
+    /// through the end of the range** (frames `1..=b`). Folding the logged
+    /// frames of consecutive ranges in order and keeping the *last* range's
+    /// tallies therefore reconstructs the whole-session result exactly —
     /// [`TestbedSimulator::simulate_session_split`] does precisely that.
     ///
     /// # Errors
@@ -1193,26 +1352,38 @@ impl TestbedSimulator {
         scenario: &Scenario,
         frames: std::ops::Range<u64>,
     ) -> Result<GroundTruthSession> {
+        if self.frame_log {
+            self.scalar_range::<FrameLog>(scenario, frames)
+        } else {
+            self.scalar_range::<SessionStats>(scenario, frames)
+        }
+    }
+
+    /// [`TestbedSimulator::simulate_session_range_scalar`] into sink `S`.
+    fn scalar_range<S: FrameSink>(
+        &self,
+        scenario: &Scenario,
+        frames: std::ops::Range<u64>,
+    ) -> Result<GroundTruthSession> {
         Self::validate_range(&frames)?;
         // Validate before building SessionState: an invalid topology must
         // surface as an error here, not a panic in the site-map construction.
         scenario.validate()?;
         let mut session = SessionState::new(self, scenario);
         self.fast_forward_session(scenario, &mut session, frames.start);
-        let frames = (frames.start + 1..=frames.end)
-            .map(|i| self.simulate_frame_in_session(scenario, i, &mut session))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(GroundTruthSession {
-            frames,
-            migration_time: session.migration_time,
-            sites_visited: session.sites_visited(),
-        })
+        let mut sink = S::with_capacity((frames.end - frames.start) as usize);
+        for i in frames.start + 1..=frames.end {
+            sink.push(self.simulate_frame_in_session(scenario, i, &mut session)?);
+        }
+        Ok(sink.into_session(session.migration_time, session.sites_visited()))
     }
 
     /// Simulates one session as `chunks` contiguous frame ranges evaluated
     /// on scoped worker threads (one per chunk, clamped to the frame count)
-    /// and stitches the parts back together: frames concatenate in order,
-    /// and the cumulative session tallies come from the last range. Because
+    /// and stitches the parts back together: the parts run with the frame
+    /// log on, their frames fold into the session's sums in frame order
+    /// (adding partial sums would re-associate them), and the cumulative
+    /// session tallies come from the last range. Because
     /// [`TestbedSimulator::simulate_session_range`] fast-forwards the
     /// walker and replays the migration draws of the skipped prefix, the
     /// result is **bit-identical** to [`TestbedSimulator::simulate_session`]
@@ -1249,33 +1420,45 @@ impl TestbedSimulator {
             ranges.push(start..start + len);
             start += len;
         }
+        let logged = &self.clone().with_frame_log(true);
         let parts: Vec<Result<GroundTruthSession>> = std::thread::scope(|scope| {
             let handles: Vec<_> = ranges
                 .into_iter()
-                .map(|range| scope.spawn(move || self.simulate_session_range(scenario, range)))
+                .map(|range| scope.spawn(move || logged.simulate_session_range(scenario, range)))
                 .collect();
             handles
                 .into_iter()
                 .map(|handle| handle.join().expect("session-range worker panicked"))
                 .collect()
         });
-        let mut out = Vec::with_capacity(frames as usize);
+        if self.frame_log {
+            Self::stitch::<FrameLog>(frames, parts)
+        } else {
+            Self::stitch::<SessionStats>(frames, parts)
+        }
+    }
+
+    /// Folds the logged parts of [`TestbedSimulator::simulate_session_split`]
+    /// into sink `S`, frame by frame in session order.
+    fn stitch<S: FrameSink>(
+        frames: u64,
+        parts: Vec<Result<GroundTruthSession>>,
+    ) -> Result<GroundTruthSession> {
+        let mut sink = S::with_capacity(frames as usize);
         let mut migration_time = Seconds::ZERO;
         let mut sites_visited = 1;
         for part in parts {
             let part = part?;
-            out.extend(part.frames);
+            for frame in part.frames.expect("split parts run with the frame log on") {
+                sink.push(frame);
+            }
             // Tallies are cumulative through each range's end, so the last
             // range's values are the whole-session values — summing partial
             // totals would re-associate the floating-point accumulation.
             migration_time = part.migration_time;
             sites_visited = part.sites_visited;
         }
-        Ok(GroundTruthSession {
-            frames: out,
-            migration_time,
-            sites_visited,
-        })
+        Ok(sink.into_session(migration_time, sites_visited))
     }
 
     /// Rejects empty frame ranges with a readable message.
@@ -1646,15 +1829,33 @@ mod tests {
 
     #[test]
     fn session_statistics_are_positive_and_stable() {
-        let testbed = TestbedSimulator::new(1);
+        let testbed = TestbedSimulator::new(1).with_frame_log(true);
         let s = scenario(500.0, 2.5, ExecutionTarget::Local);
         let session = testbed.simulate_session(&s, 30).unwrap();
-        assert_eq!(session.frames().len(), 30);
+        assert_eq!(session.frames().map(<[_]>::len), Some(30));
+        assert_eq!(session.frame_count(), 30);
         assert!(session.mean_latency().as_f64() > 0.0);
         assert!(session.mean_energy().as_f64() > 0.0);
-        assert!(session.latency_summary().std_dev() < session.latency_summary().mean());
-        assert!(session.energy_summary().mean() > 0.0);
+        let latency = session.latency_summary().unwrap();
+        assert!(latency.std_dev() < latency.mean());
+        assert!(session.energy_summary().unwrap().mean() > 0.0);
         assert_eq!(session.handoff_rate(), 0.0);
+    }
+
+    #[test]
+    fn sums_start_where_iterator_sum_starts() {
+        // `Iterator::sum::<f64>` folds from -0.0 on this toolchain; the
+        // accumulators must start there too for the means to match bit for
+        // bit in every case (a sum of only -0.0 terms stays -0.0).
+        let empty: f64 = std::iter::empty::<f64>().sum();
+        let stats = SessionStats::default();
+        assert_eq!(stats.latency_sum.to_bits(), empty.to_bits());
+        assert_eq!(stats.energy_sum.to_bits(), empty.to_bits());
+        for sum in stats.segment_latency_sums {
+            assert_eq!(sum.to_bits(), empty.to_bits());
+        }
+        assert_eq!(stats.mean_latency(), Seconds::ZERO);
+        assert_eq!(stats.handoff_rate(), 0.0);
     }
 
     #[test]
@@ -1708,9 +1909,11 @@ mod tests {
     #[test]
     fn simulation_is_deterministic_per_seed() {
         let s = scenario(500.0, 2.0, ExecutionTarget::Remote);
-        let a = TestbedSimulator::new(9).simulate_session(&s, 5).unwrap();
-        let b = TestbedSimulator::new(9).simulate_session(&s, 5).unwrap();
-        let c = TestbedSimulator::new(10).simulate_session(&s, 5).unwrap();
+        let logged = |seed| TestbedSimulator::new(seed).with_frame_log(true);
+        let a = logged(9).simulate_session(&s, 5).unwrap();
+        let b = logged(9).simulate_session(&s, 5).unwrap();
+        let c = logged(10).simulate_session(&s, 5).unwrap();
+        assert!(a.frames().is_some());
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -1914,9 +2117,11 @@ mod tests {
     #[test]
     fn contended_sessions_are_deterministic_per_seed() {
         let s = contended_scenario(3);
-        let a = TestbedSimulator::new(21).simulate_session(&s, 8).unwrap();
-        let b = TestbedSimulator::new(21).simulate_session(&s, 8).unwrap();
-        let c = TestbedSimulator::new(22).simulate_session(&s, 8).unwrap();
+        let logged = |seed| TestbedSimulator::new(seed).with_frame_log(true);
+        let a = logged(21).simulate_session(&s, 8).unwrap();
+        let b = logged(21).simulate_session(&s, 8).unwrap();
+        let c = logged(22).simulate_session(&s, 8).unwrap();
+        assert!(a.frames().is_some());
         assert_eq!(a, b);
         assert_ne!(a, c);
     }

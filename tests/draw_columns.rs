@@ -164,8 +164,11 @@ fn noiseless_sessions_draw_nothing_from_gated_noise_columns() {
         .execution(xr_types::ExecutionTarget::Split { client_share: 0.4 })
         .build()
         .unwrap();
-    let testbed = xr_testbed::TestbedSimulator::new(31).with_noise(0.0);
+    let testbed = xr_testbed::TestbedSimulator::new(31)
+        .with_noise(0.0)
+        .with_frame_log(true);
     let scalar = testbed.simulate_session_scalar(&scenario, 70).unwrap();
+    assert!(scalar.frames().is_some());
     for width in [1, 64, 256] {
         let batched = testbed
             .simulate_session_batched(&scenario, 70, width)

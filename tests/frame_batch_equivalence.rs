@@ -3,6 +3,11 @@
 //! count — the structure-of-arrays engine produces a `GroundTruthFrame`
 //! stream **bit-identical** to the scalar frame-by-frame reference.
 //!
+//! Both engines run with the frame log on
+//! ([`TestbedSimulator::with_frame_log`]), and each reference asserts the
+//! log is present, so every comparison covers every frame rather than only
+//! the per-session sums.
+//!
 //! This is the property that makes per-stage RNG streams load-bearing: a
 //! stage's draws depend only on `(session_seed, stage_id, frame_index)`,
 //! never on the evaluation order, so the two engines must agree on every
@@ -68,8 +73,9 @@ proptest! {
         lazy in prop::sample::select(vec![false, true]),
     ) {
         let scenario = build_scenario(size, clock, share, fps, target, updates, speed, radius);
-        let testbed = TestbedSimulator::new(seed);
+        let testbed = TestbedSimulator::new(seed).with_frame_log(true);
         let scalar = testbed.simulate_session_scalar(&scenario, frames).unwrap();
+        prop_assert!(scalar.frames().is_some(), "the reference must carry its frame log");
         let batched = testbed.simulate_session_batched(&scenario, frames, width).unwrap();
         // Bit-identity, not approximate agreement: `GroundTruthFrame`
         // derives `PartialEq` over its raw f64 measurements.
@@ -101,6 +107,7 @@ proptest! {
             contended.validate().expect("contended scenario is valid");
             match testbed.simulate_session_scalar(&contended, frames) {
                 Ok(scalar) => {
+                    prop_assert!(scalar.frames().is_some());
                     let batched = testbed
                         .simulate_session_batched(&contended, frames, width)
                         .unwrap();
@@ -147,6 +154,7 @@ proptest! {
         topologized.validate().expect("topologized scenario is valid");
         match testbed.simulate_session_scalar(&topologized, frames) {
             Ok(scalar) => {
+                prop_assert!(scalar.frames().is_some());
                 let batched = testbed
                     .simulate_session_batched(&topologized, frames, width)
                     .unwrap();
@@ -188,8 +196,9 @@ fn multi_server_uplink_keeps_the_pair_parity_across_engines() {
             .edge_servers(servers)
             .build()
             .expect("multi-server scenario is valid");
-        let testbed = TestbedSimulator::new(4242);
+        let testbed = TestbedSimulator::new(4242).with_frame_log(true);
         let scalar = testbed.simulate_session_scalar(&scenario, 70).unwrap();
+        assert!(scalar.frames().is_some());
         for width in [1usize, 7, 64, 128] {
             let batched = testbed
                 .simulate_session_batched(&scenario, 70, width)

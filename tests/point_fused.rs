@@ -3,6 +3,10 @@
 //! `simulate_point` produces exactly the sessions that R standalone
 //! per-rep runs produce — bit-identical, not statistically equal.
 //!
+//! Both paths run with the frame log on, and each reference asserts the log
+//! is present, so every comparison covers every frame rather than only the
+//! per-session sums.
+//!
 //! This is the same property that makes the batched engine safe: a draw
 //! depends only on `(replication_seed, stage_id, frame_index)`, so fusing
 //! all replications of a point into one wide SoA pass cannot change any
@@ -72,6 +76,10 @@ fn assert_fused_matches_per_rep(
     ) {
         (Ok(fused_sessions), Ok(reference_sessions)) => {
             prop_assert!(
+                reference_sessions.iter().all(|s| s.frames().is_some()),
+                "the per-rep reference must carry its frame log ({label})"
+            );
+            prop_assert!(
                 fused_sessions == reference_sessions,
                 "fused point diverged from per-rep sessions ({label})"
             );
@@ -118,7 +126,7 @@ proptest! {
         // The reference testbed keeps the default batched engine: its
         // `simulate_point` dispatches rep-by-rep, which is also the exact
         // path the per-rep campaign uses.
-        let reference = TestbedSimulator::new(9);
+        let reference = TestbedSimulator::new(9).with_frame_log(true);
         let fused = reference
             .clone()
             .with_engine(SimulationEngine::FusedPoint { width });
@@ -180,7 +188,7 @@ fn tail_frames_and_narrow_widths_fuse_exactly() {
     // budget narrower than the rep count (per-rep width clamps to 1), a
     // tail where the last pass is shorter than the others, and R=1 (the
     // engine falls back to a single standalone session).
-    let reference = TestbedSimulator::new(4242);
+    let reference = TestbedSimulator::new(4242).with_frame_log(true);
     let scenario = Scenario::builder()
         .frame_side(512.0)
         .execution(ExecutionTarget::Remote)
@@ -205,6 +213,7 @@ fn tail_frames_and_narrow_widths_fuse_exactly() {
                 .reseeded(xr_types::seed::mix(point_seed, rep as u64))
                 .simulate_session(&scenario, frames)
                 .unwrap();
+            assert!(standalone.frames().is_some());
             assert_eq!(
                 session, &standalone,
                 "rep {rep} diverged (reps {reps}, frames {frames}, width {width})"

@@ -3,6 +3,9 @@
 //! whole-session [`GroundTruthFrame`] stream **bit for bit**, including the
 //! cumulative mobility tallies (`migration_time`, `sites_visited`).
 //!
+//! Every session here is built with the frame log on, so each comparison
+//! covers every frame, not only the per-session sums.
+//!
 //! This closes the seam the lane layer left open: per-stage draws are keyed
 //! by `(session_seed, stage, frame_index)`, so a range `a..b` only has to
 //! fast-forward the strictly sequential state (the mobility walker and the
@@ -106,7 +109,8 @@ proptest! {
             TestbedSimulator::new(seed).with_engine(SimulationEngine::Scalar)
         } else {
             TestbedSimulator::new(seed).with_engine(SimulationEngine::Batched { width })
-        };
+        }
+        .with_frame_log(true);
         // Saturated queues refuse to run; range decompositions of a refused
         // session must refuse too (checked on the trivial full range).
         let full = match testbed.simulate_session(&scenario, frames) {
@@ -120,6 +124,8 @@ proptest! {
             }
         };
 
+        prop_assert!(full.frames().is_some(), "the reference must carry its frame log");
+
         // The full range is the whole session.
         let full_range = testbed.simulate_session_range(&scenario, 0..frames).unwrap();
         prop_assert_eq!(&full_range, &full);
@@ -131,11 +137,12 @@ proptest! {
         let tail = testbed.simulate_session_range(&scenario, split..frames).unwrap();
         let stitched: Vec<_> = head
             .frames()
+            .unwrap()
             .iter()
-            .chain(tail.frames())
+            .chain(tail.frames().unwrap())
             .cloned()
             .collect();
-        prop_assert_eq!(stitched.as_slice(), full.frames());
+        prop_assert_eq!(Some(stitched.as_slice()), full.frames());
         prop_assert_eq!(tail.migration_time(), full.migration_time());
         prop_assert_eq!(tail.sites_visited(), full.sites_visited());
         // The head alone matches the same-length prefix session exactly.
@@ -154,6 +161,17 @@ proptest! {
             .simulate_session(&scenario, frames)
             .unwrap();
         prop_assert_eq!(&via_builder, &full);
+        // Without the log the split still folds its parts' frames in order,
+        // so the sums match the whole session bit for bit.
+        let stats_only = testbed
+            .clone()
+            .with_frame_log(false)
+            .simulate_session_split(&scenario, frames, chunks)
+            .unwrap();
+        prop_assert!(stats_only.frames().is_none());
+        prop_assert_eq!(stats_only.stats(), full.stats());
+        prop_assert_eq!(stats_only.migration_time(), full.migration_time());
+        prop_assert_eq!(stats_only.sites_visited(), full.sites_visited());
 
         // Cross-engine: a scalar range equals a batched range of the same
         // frames (the range API preserves the PR-5 engine equivalence).
@@ -195,8 +213,9 @@ fn chunk_counts_beyond_the_frame_count_clamp() {
     // 3 frames split 16 ways degenerates to (at most) 3 single-frame
     // ranges — still bit-identical, never an empty range.
     let scenario = build_scenario(480.0, 2.4, 0.7, 8.0, 2, 12.0, 18.0, 1, 1, 800.0, true);
-    let testbed = TestbedSimulator::new(99);
+    let testbed = TestbedSimulator::new(99).with_frame_log(true);
     let full = testbed.simulate_session(&scenario, 3).unwrap();
+    assert!(full.frames().is_some());
     let chunked = testbed.simulate_session_split(&scenario, 3, 16).unwrap();
     assert_eq!(chunked, full);
     assert_eq!(

@@ -116,8 +116,9 @@ proptest! {
             site_density: 0.0,
             migration_policy: MigrationPolicy::Eager,
         });
-        let testbed = TestbedSimulator::new(seed);
+        let testbed = TestbedSimulator::new(seed).with_frame_log(true);
         let reference = testbed.simulate_session_scalar(&legacy, frames).unwrap();
+        prop_assert!(reference.frames().is_some(), "the reference must carry its frame log");
         let scalar = testbed.simulate_session_scalar(&single, frames).unwrap();
         prop_assert!(scalar == reference, "scalar single-layout session diverged");
         prop_assert_eq!(scalar.sites_visited(), 1);
