@@ -17,23 +17,50 @@
 //! interleaves the shard CSVs back into the unsharded artifact byte for
 //! byte.
 //!
-//! The CSV is bit-identical for every worker count (`XR_SWEEP_WORKERS`),
-//! for all three session engines (`--scalar-sessions` forces the scalar
-//! reference, `--fused-points` / `XR_FUSED_POINTS=1` fuses all
-//! replications of a point into one wide SoA pass), and for any
-//! within-session split (`--session-chunks`, `XR_SESSION_CHUNKS`); CI runs
-//! this binary under all of these axes and diffs the artifacts.
+//! The CSV is bit-identical for every worker count (`XR_SWEEP_WORKERS`)
+//! and for all three session engines (`--scalar-sessions` forces the
+//! scalar reference, `--fused-points` / `XR_FUSED_POINTS=1` fuses all
+//! replications of a point into one wide SoA pass); CI runs this binary
+//! under all of these axes and diffs the artifacts.
 //!
 //! `--progress` emits `shard i/N: completed/total points` lines to stderr
 //! at checkpoint boundaries (`1/1` and every completed point on an
 //! unsharded run); stdout and the CSV are byte-identical either way.
 //! `--reorder-cap <n>` / `XR_REORDER_CAP` bound the streaming hold-back
 //! window (how far fast workers may run ahead of one slow point).
+//!
+//! Any other argument ends the run with status 2 before calibration, with
+//! a message naming it.
 
 use xr_experiments::campaign::{quick_grid, run_campaign_streaming, CampaignRow, CAMPAIGN_HEADER};
 use xr_experiments::shard_campaign::{run_campaign_shard_with_progress, shard_csv_name};
 use xr_experiments::{output, ExperimentContext};
 use xr_sweep::{parse_grid_spec, ShardSpec, SweepGrid, DEFAULT_SYNC_EVERY};
+
+/// Flags that take the next token as their value.
+const VALUE_FLAGS: [&str; 4] = ["--grid", "--shard", "--checkpoint-every", "--reorder-cap"];
+
+/// Flags that take no value.
+const SWITCHES: [&str; 4] = [
+    "--progress",
+    "--paper-scale",
+    "--scalar-sessions",
+    "--fused-points",
+];
+
+/// The first argument after the program name that is neither a known
+/// switch, a value flag, nor the value following one.
+fn unknown_argument(args: &[String]) -> Option<&str> {
+    let mut tokens = args.iter().skip(1).map(String::as_str);
+    while let Some(token) = tokens.next() {
+        if VALUE_FLAGS.contains(&token) {
+            tokens.next();
+        } else if !SWITCHES.contains(&token) {
+            return Some(token);
+        }
+    }
+    None
+}
 
 /// Resolves the campaign grid: `--grid <file>` when given, the built-in
 /// quick grid otherwise.
@@ -101,6 +128,15 @@ fn checkpoint_every_from_args() -> usize {
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(token) = unknown_argument(&args) {
+        eprintln!(
+            "unknown argument `{token}`; known flags: {} <value>, {}",
+            VALUE_FLAGS.join(" <value>, "),
+            SWITCHES.join(", ")
+        );
+        std::process::exit(2);
+    }
     let grid = grid_from_args();
     let checkpoint_every = checkpoint_every_from_args();
     let progress = std::env::args().any(|a| a == "--progress");

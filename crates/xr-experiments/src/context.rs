@@ -149,10 +149,9 @@ impl ExperimentContext {
     /// sanctioned draw-scheme re-keys (see `xr_stats::equivalence`).
     ///
     /// A malformed `XR_SWEEP_WORKERS`, `XR_FUSED_POINTS`,
-    /// `XR_CAMPAIGN_SEED`, `XR_SESSION_CHUNKS` or `XR_REORDER_CAP` value,
-    /// and a `--session-chunks` or `--reorder-cap` flag without a value,
-    /// end the process with status 2 and a message naming the bad input,
-    /// before calibration.
+    /// `XR_CAMPAIGN_SEED` or `XR_REORDER_CAP` value, and a `--reorder-cap`
+    /// flag without a value, end the process with status 2 and a message
+    /// naming the bad input, before calibration.
     ///
     /// # Panics
     ///
@@ -166,14 +165,6 @@ impl ExperimentContext {
         let fused_env = env_or_exit(FUSED_POINTS_ENV, parse_fused_points).unwrap_or(false);
         let seed = env_or_exit(CAMPAIGN_SEED_ENV, parse_seed).unwrap_or(2024);
         let args: Vec<String> = std::env::args().collect();
-        let chunks = flag_value(&args, "--session-chunks", "a session-chunk count")
-            .or_else(|| std::env::var("XR_SESSION_CHUNKS").ok())
-            .map(|token| {
-                token.parse::<usize>().unwrap_or_else(|_| {
-                    eprintln!("invalid session-chunk count `{token}`");
-                    std::process::exit(2);
-                })
-            });
         let cap = flag_value(&args, "--reorder-cap", "a reorder cap")
             .or_else(|| std::env::var("XR_REORDER_CAP").ok())
             .map(|token| {
@@ -190,9 +181,6 @@ impl ExperimentContext {
         let mut ctx = ctx.expect("failed to calibrate the analytical framework");
         if args.iter().any(|a| a == "--scalar-sessions") {
             ctx = ctx.with_scalar_sessions();
-        }
-        if let Some(chunks) = chunks {
-            ctx = ctx.with_session_chunks(chunks);
         }
         if fused_env || args.iter().any(|a| a == "--fused-points") {
             ctx = ctx.with_fused_points();
@@ -228,18 +216,6 @@ impl ExperimentContext {
     #[must_use]
     pub fn with_reorder_cap(mut self, cap: usize) -> Self {
         self.reorder_cap = Some(cap.max(1));
-        self
-    }
-
-    /// This context with every ground-truth session split across `chunks`
-    /// frame ranges simulated on parallel lanes (clamped to at least 1).
-    /// Splitting is bit-identical to a whole-session run by the range
-    /// engine's contract, so artifacts do not change — only wall-clock time
-    /// per session does. `--session-chunks <n>` / `XR_SESSION_CHUNKS` wire
-    /// this up for the experiment binaries.
-    #[must_use]
-    pub fn with_session_chunks(mut self, chunks: usize) -> Self {
-        self.testbed = self.testbed.with_session_chunks(chunks);
         self
     }
 
@@ -569,7 +545,7 @@ mod tests {
             flag_value(&args, "--reorder-cap", "a reorder cap"),
             Some("8".to_string())
         );
-        assert_eq!(flag_value(&args, "--session-chunks", "a count"), None);
+        assert_eq!(flag_value(&args, "--grid", "a grid file"), None);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The `campaign` binary's failure paths: a grid point the model cannot
 //! evaluate ends the run with a one-line error and exit status 1, and a
-//! malformed environment value or a value-taking flag given as the last
-//! token ends it with status 2 before any work. No failure may surface as
-//! a panic.
+//! malformed environment value, a value-taking flag given as the last
+//! token, or an unknown argument ends it with status 2 before any work. No
+//! failure may surface as a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -76,18 +76,33 @@ fn malformed_environment_values_are_named_and_rejected() {
 #[test]
 fn value_flags_without_a_value_are_named_and_rejected() {
     let dir = scratch("campaign_cli_flags");
-    // The variables are set to valid values: a missing flag value must not
-    // fall back to them (or to a default).
-    for (flag, var, valid) in [
-        ("--session-chunks", "XR_SESSION_CHUNKS", "2"),
-        ("--reorder-cap", "XR_REORDER_CAP", "64"),
+    // The variable is set to a valid value: a missing flag value must not
+    // fall back to it (or to a default).
+    let (output, stderr) = campaign(&dir, &["--reorder-cap"], &[("XR_REORDER_CAP", "64")]);
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--reorder-cap"), "stderr: {stderr}");
+    assert!(
+        !dir.join("target/experiments/campaign.csv").exists(),
+        "the campaign ran"
+    );
+}
+
+#[test]
+fn unknown_arguments_are_named_and_rejected() {
+    let dir = scratch("campaign_cli_unknown");
+    let csv = dir.join("target/experiments/campaign.csv");
+    // A campaign left over from an earlier run must not mask this one.
+    let _ = std::fs::remove_file(&csv);
+    // A removed flag with its value, a made-up flag, and a typo of a
+    // known switch.
+    for (args, token) in [
+        (&["--session-chunks", "2"][..], "--session-chunks"),
+        (&["--bogus"][..], "--bogus"),
+        (&["--fused-point"][..], "--fused-point"),
     ] {
-        let (output, stderr) = campaign(&dir, &[flag], &[(var, valid)]);
-        assert_eq!(output.status.code(), Some(2), "{flag}: {stderr}");
-        assert!(stderr.contains(flag), "{flag}: {stderr}");
-        assert!(
-            !dir.join("target/experiments/campaign.csv").exists(),
-            "{flag}: the campaign ran"
-        );
+        let (output, stderr) = campaign(&dir, args, &[]);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("`{token}`")), "{args:?}: {stderr}");
+        assert!(!csv.exists(), "{args:?}: the campaign ran");
     }
 }

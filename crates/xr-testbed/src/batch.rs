@@ -618,54 +618,30 @@ impl TestbedSimulator {
                 "must be at least 1",
             ));
         }
-        self.simulate_session_range_batched(scenario, 0..frames, width)
-    }
-
-    /// The batched implementation of
-    /// [`TestbedSimulator::simulate_session_range`]: fast-forwards the
-    /// session state through the skipped prefix, then runs the column
-    /// pipeline over batches starting at the range's first frame. Lane
-    /// banks reseed on *absolute* frame indices
-    /// ([`xr_types::lanes::LaneStreams::reseed_range`] is the underlying
-    /// contract), so the batch grid needs no alignment with the range
-    /// start — every width and every split point is bit-identical to the
-    /// whole-session run.
-    ///
-    /// # Errors
-    ///
-    /// Returns scenario-validation errors; the range must be non-empty.
-    pub fn simulate_session_range_batched(
-        &self,
-        scenario: &Scenario,
-        frames: std::ops::Range<u64>,
-        width: usize,
-    ) -> Result<GroundTruthSession> {
         if self.keeps_frame_log() {
-            self.batched_range::<FrameLog>(scenario, frames, width)
+            self.batched_into::<FrameLog>(scenario, frames, width)
         } else {
-            self.batched_range::<SessionStats>(scenario, frames, width)
+            self.batched_into::<SessionStats>(scenario, frames, width)
         }
     }
 
-    /// [`TestbedSimulator::simulate_session_range_batched`] into sink `S`.
-    fn batched_range<S: FrameSink>(
+    /// [`TestbedSimulator::simulate_session_batched`] into sink `S`.
+    fn batched_into<S: FrameSink>(
         &self,
         scenario: &Scenario,
-        frames: std::ops::Range<u64>,
+        frames: u64,
         width: usize,
     ) -> Result<GroundTruthSession> {
-        Self::validate_range(&frames)?;
         scenario.validate()?;
         let width = width.max(1) as u64;
         let consts = BatchConsts::new(self, scenario)?;
         let mut session = SessionState::new(self, scenario);
-        self.fast_forward_session(scenario, &mut session, frames.start);
         let mut batch = FrameBatch::new();
         let mut draws = DrawColumns::new();
-        let mut out = [S::with_capacity((frames.end - frames.start) as usize)];
-        let mut first = frames.start + 1;
-        while first <= frames.end {
-            let n = width.min(frames.end - first + 1) as usize;
+        let mut out = [S::with_capacity(frames as usize)];
+        let mut first = 1;
+        while first <= frames {
+            let n = width.min(frames - first + 1) as usize;
             batch.reset(first, n, 1);
             self.batch_pass(
                 &consts,
@@ -715,17 +691,15 @@ impl TestbedSimulator {
     /// `self.reseeded(mix(point_seed, r)).simulate_session(scenario,
     /// frames)` by construction.
     ///
-    /// With the fused engine ([`SimulationEngine::FusedPoint`]), more than
-    /// one replication, and no within-session range-chunking, the
-    /// replications are *fused*: one
+    /// With the fused engine ([`SimulationEngine::FusedPoint`]) and more
+    /// than one replication, the replications are *fused*: one
     /// `BatchConsts` hoist for the whole point, one rep-major
     /// `FrameBatch`/`DrawColumns` pass per batch of frames (each
     /// replication's lanes form a contiguous segment replaying its own
     /// per-stage streams), and the sparse per-rep state (walkers, handoff
     /// tallies, migration clocks) banked behind rep-indexed arrays.
-    /// Otherwise — a scalar or plain batched engine, `reps == 1`, or
-    /// `session_chunks > 1` —
-    /// the point falls back to sequential per-rep dispatch through
+    /// Otherwise — a scalar or plain batched engine, or `reps == 1` — the
+    /// point falls back to sequential per-rep dispatch through
     /// [`TestbedSimulator::simulate_session`].
     ///
     /// # Errors
@@ -747,17 +721,15 @@ impl TestbedSimulator {
             ));
         }
         let width = match self.engine() {
-            SimulationEngine::Scalar | SimulationEngine::Batched { .. } => None,
-            SimulationEngine::FusedPoint { width } => Some(width.max(1)),
-        };
-        let rep_seed = |rep: usize| xr_types::seed::mix(point_seed, rep as u64);
-        let (Some(width), true) = (width, reps > 1 && self.session_chunks() == 1) else {
-            return (0..reps)
-                .map(|rep| {
-                    self.reseeded(rep_seed(rep))
-                        .simulate_session(scenario, frames)
-                })
-                .collect();
+            SimulationEngine::FusedPoint { width } if reps > 1 => width.max(1),
+            _ => {
+                return (0..reps)
+                    .map(|rep| {
+                        self.reseeded(xr_types::seed::mix(point_seed, rep as u64))
+                            .simulate_session(scenario, frames)
+                    })
+                    .collect()
+            }
         };
         if frames == 0 {
             return Err(xr_types::Error::invalid_parameter(
@@ -1636,8 +1608,8 @@ mod tests {
     fn fused_point_fallbacks_and_errors_match_per_rep_dispatch() {
         let s = scenario(400.0, 2.5, ExecutionTarget::Remote);
         let point_seed = 99;
-        // reps == 1, scalar engine, and chunked sessions all take the
-        // per-rep fallback; each must equal the per-rep reference.
+        // reps == 1 and the scalar engine both take the per-rep fallback;
+        // each must equal the per-rep reference.
         let fused = logged(9).with_engine(SimulationEngine::FusedPoint { width: 32 });
         assert_eq!(
             fused.simulate_point(&s, point_seed, 1, 23).unwrap(),
@@ -1647,11 +1619,6 @@ mod tests {
         assert_eq!(
             scalar.simulate_point(&s, point_seed, 3, 23).unwrap(),
             per_rep_reference(&scalar, &s, point_seed, 3, 23)
-        );
-        let chunked = fused.clone().with_session_chunks(2);
-        assert_eq!(
-            chunked.simulate_point(&s, point_seed, 3, 23).unwrap(),
-            per_rep_reference(&chunked, &s, point_seed, 3, 23)
         );
         // Degenerate inputs are rejected on every path.
         assert!(fused.simulate_point(&s, point_seed, 0, 23).is_err());

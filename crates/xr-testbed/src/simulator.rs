@@ -436,11 +436,6 @@ pub struct TestbedSimulator {
     pub(crate) noise_sigma: f64,
     /// Which engine [`TestbedSimulator::simulate_session`] dispatches to.
     engine: SimulationEngine,
-    /// How many contiguous frame ranges
-    /// [`TestbedSimulator::simulate_session`] splits a session into
-    /// (evaluated on scoped threads, stitched bit-identically); 1 keeps the
-    /// single-range path.
-    session_chunks: usize,
     /// Whether sessions keep every [`GroundTruthFrame`] besides their
     /// [`SessionStats`] (off by default; see
     /// [`TestbedSimulator::with_frame_log`]).
@@ -463,7 +458,6 @@ impl TestbedSimulator {
             thermal_fraction: 0.045,
             noise_sigma: 0.04,
             engine: SimulationEngine::default(),
-            session_chunks: 1,
             frame_log: false,
         }
     }
@@ -481,24 +475,6 @@ impl TestbedSimulator {
     #[must_use]
     pub fn engine(&self) -> SimulationEngine {
         self.engine
-    }
-
-    /// Makes [`TestbedSimulator::simulate_session`] split every session
-    /// into `chunks` contiguous frame ranges evaluated on scoped threads
-    /// via [`TestbedSimulator::simulate_session_split`] (clamped to at
-    /// least 1; 1 keeps the single-range path). Results are bit-identical
-    /// for every chunk count — this is a pure wall-clock knob for huge
-    /// `frames_per_session` campaigns.
-    #[must_use]
-    pub fn with_session_chunks(mut self, chunks: usize) -> Self {
-        self.session_chunks = chunks.max(1);
-        self
-    }
-
-    /// The within-session split width in effect (1 = unsplit).
-    #[must_use]
-    pub fn session_chunks(&self) -> usize {
-        self.session_chunks
     }
 
     /// Makes every session keep its per-frame [`GroundTruthFrame`]s
@@ -1269,9 +1245,6 @@ impl TestbedSimulator {
     ///
     /// Returns scenario-validation errors; `frames` must be at least 1.
     pub fn simulate_session(&self, scenario: &Scenario, frames: u64) -> Result<GroundTruthSession> {
-        if self.session_chunks > 1 {
-            return self.simulate_session_split(scenario, frames, self.session_chunks);
-        }
         match self.engine {
             SimulationEngine::Scalar => self.simulate_session_scalar(scenario, frames),
             SimulationEngine::Batched { width } | SimulationEngine::FusedPoint { width } => {
@@ -1300,223 +1273,28 @@ impl TestbedSimulator {
                 "must be at least 1",
             ));
         }
-        self.simulate_session_range_scalar(scenario, 0..frames)
-    }
-
-    /// Simulates a contiguous slice of a session through whichever engine is
-    /// configured: the half-open range `frames` names 0-based frame
-    /// *offsets*, so `a..b` simulates the 1-based frame indices
-    /// `a + 1 ..= b` of the session that
-    /// [`TestbedSimulator::simulate_session`] would run in full.
-    ///
-    /// Every per-frame draw comes from the frame's own per-stage RNG stream,
-    /// so the range's measured frames are bit-identical to the same frames
-    /// of a whole-session run. The only cross-frame state — the mobility
-    /// walker and the session tallies — is *fast-forwarded* through the
-    /// skipped prefix by replaying exactly the walker advances and
-    /// [`stream::MIGRATION`] draws a full run would have made, so the
-    /// returned session's `migration_time`, `sites_visited` and the serving
-    /// site of every range frame also match bit for bit.
-    ///
-    /// The returned [`GroundTruthSession`] covers the range's frames only;
-    /// its `migration_time` and `sites_visited` tallies are **cumulative
-    /// through the end of the range** (frames `1..=b`). Folding the logged
-    /// frames of consecutive ranges in order and keeping the *last* range's
-    /// tallies therefore reconstructs the whole-session result exactly —
-    /// [`TestbedSimulator::simulate_session_split`] does precisely that.
-    ///
-    /// # Errors
-    ///
-    /// Returns scenario-validation errors; the range must be non-empty.
-    pub fn simulate_session_range(
-        &self,
-        scenario: &Scenario,
-        frames: std::ops::Range<u64>,
-    ) -> Result<GroundTruthSession> {
-        match self.engine {
-            SimulationEngine::Scalar => self.simulate_session_range_scalar(scenario, frames),
-            SimulationEngine::Batched { width } | SimulationEngine::FusedPoint { width } => {
-                self.simulate_session_range_batched(scenario, frames, width)
-            }
-        }
-    }
-
-    /// The scalar reference implementation of
-    /// [`TestbedSimulator::simulate_session_range`].
-    ///
-    /// # Errors
-    ///
-    /// Returns scenario-validation errors; the range must be non-empty.
-    pub fn simulate_session_range_scalar(
-        &self,
-        scenario: &Scenario,
-        frames: std::ops::Range<u64>,
-    ) -> Result<GroundTruthSession> {
         if self.frame_log {
-            self.scalar_range::<FrameLog>(scenario, frames)
+            self.scalar_into::<FrameLog>(scenario, frames)
         } else {
-            self.scalar_range::<SessionStats>(scenario, frames)
+            self.scalar_into::<SessionStats>(scenario, frames)
         }
     }
 
-    /// [`TestbedSimulator::simulate_session_range_scalar`] into sink `S`.
-    fn scalar_range<S: FrameSink>(
+    /// [`TestbedSimulator::simulate_session_scalar`] into sink `S`.
+    fn scalar_into<S: FrameSink>(
         &self,
         scenario: &Scenario,
-        frames: std::ops::Range<u64>,
+        frames: u64,
     ) -> Result<GroundTruthSession> {
-        Self::validate_range(&frames)?;
         // Validate before building SessionState: an invalid topology must
         // surface as an error here, not a panic in the site-map construction.
         scenario.validate()?;
         let mut session = SessionState::new(self, scenario);
-        self.fast_forward_session(scenario, &mut session, frames.start);
-        let mut sink = S::with_capacity((frames.end - frames.start) as usize);
-        for i in frames.start + 1..=frames.end {
+        let mut sink = S::with_capacity(frames as usize);
+        for i in 1..=frames {
             sink.push(self.simulate_frame_in_session(scenario, i, &mut session)?);
         }
         Ok(sink.into_session(session.migration_time, session.sites_visited()))
-    }
-
-    /// Simulates one session as `chunks` contiguous frame ranges evaluated
-    /// on scoped worker threads (one per chunk, clamped to the frame count)
-    /// and stitches the parts back together: the parts run with the frame
-    /// log on, their frames fold into the session's sums in frame order
-    /// (adding partial sums would re-associate them), and the cumulative
-    /// session tallies come from the last range. Because
-    /// [`TestbedSimulator::simulate_session_range`] fast-forwards the
-    /// walker and replays the migration draws of the skipped prefix, the
-    /// result is **bit-identical** to [`TestbedSimulator::simulate_session`]
-    /// for every chunk count and either engine — this is the within-session
-    /// parallelism seam the lane layer left open, closed.
-    ///
-    /// # Errors
-    ///
-    /// Returns scenario-validation errors; `frames` must be at least 1.
-    pub fn simulate_session_split(
-        &self,
-        scenario: &Scenario,
-        frames: u64,
-        chunks: usize,
-    ) -> Result<GroundTruthSession> {
-        if frames == 0 {
-            return Err(xr_types::Error::invalid_parameter(
-                "frames",
-                "must be at least 1",
-            ));
-        }
-        let chunks = (chunks.max(1) as u64).min(frames);
-        if chunks == 1 {
-            return self.simulate_session_range(scenario, 0..frames);
-        }
-        // Balanced contiguous ranges: the first `frames % chunks` ranges
-        // take one extra frame.
-        let base = frames / chunks;
-        let extra = frames % chunks;
-        let mut ranges = Vec::with_capacity(chunks as usize);
-        let mut start = 0u64;
-        for chunk in 0..chunks {
-            let len = base + u64::from(chunk < extra);
-            ranges.push(start..start + len);
-            start += len;
-        }
-        let logged = &self.clone().with_frame_log(true);
-        let parts: Vec<Result<GroundTruthSession>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| scope.spawn(move || logged.simulate_session_range(scenario, range)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("session-range worker panicked"))
-                .collect()
-        });
-        if self.frame_log {
-            Self::stitch::<FrameLog>(frames, parts)
-        } else {
-            Self::stitch::<SessionStats>(frames, parts)
-        }
-    }
-
-    /// Folds the logged parts of [`TestbedSimulator::simulate_session_split`]
-    /// into sink `S`, frame by frame in session order.
-    fn stitch<S: FrameSink>(
-        frames: u64,
-        parts: Vec<Result<GroundTruthSession>>,
-    ) -> Result<GroundTruthSession> {
-        let mut sink = S::with_capacity(frames as usize);
-        let mut migration_time = Seconds::ZERO;
-        let mut sites_visited = 1;
-        for part in parts {
-            let part = part?;
-            for frame in part.frames.expect("split parts run with the frame log on") {
-                sink.push(frame);
-            }
-            // Tallies are cumulative through each range's end, so the last
-            // range's values are the whole-session values — summing partial
-            // totals would re-associate the floating-point accumulation.
-            migration_time = part.migration_time;
-            sites_visited = part.sites_visited;
-        }
-        Ok(sink.into_session(migration_time, sites_visited))
-    }
-
-    /// Rejects empty frame ranges with a readable message.
-    pub(crate) fn validate_range(frames: &std::ops::Range<u64>) -> Result<()> {
-        if frames.start >= frames.end {
-            return Err(xr_types::Error::invalid_parameter(
-                "frames",
-                format!("range {}..{} must be non-empty", frames.start, frames.end),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Fast-forwards a fresh [`SessionState`] through the first `skip`
-    /// frames of a session without measuring them: per skipped frame the
-    /// mobility walker advances one window (its stream is session-scoped
-    /// and strictly sequential), and any inter-site migration replays its
-    /// [`stream::MIGRATION`] draw so `migration_time` accumulates in exact
-    /// frame order. Per-frame measurement streams (every other stage) are
-    /// never touched — they are keyed by frame index and owe nothing to the
-    /// frames before them. This is what makes
-    /// [`TestbedSimulator::simulate_session_range`] bit-identical to the
-    /// same frames of a whole-session run.
-    pub(crate) fn fast_forward_session(
-        &self,
-        scenario: &Scenario,
-        session: &mut SessionState,
-        skip: u64,
-    ) {
-        if skip == 0 || !scenario.execution.uses_edge() || scenario.mobility.speed.as_f64() <= 0.0 {
-            // Static or edge-free sessions never advance a walker (the
-            // handoff stage is gated off), so there is nothing to replay.
-            return;
-        }
-        let window = scenario.frame_window();
-        let policy = scenario
-            .topology
-            .map_or(MigrationPolicy::Eager, |t| t.migration_policy);
-        let migration_base = Self::migration_base(policy);
-        for frame_index in 1..=skip {
-            if let Some(topo) = session.topo.as_mut() {
-                let events = topo.advance(window);
-                session.site = topo.site_index();
-                if events.crossings > 0 {
-                    session.handoffs += events.crossings as u64;
-                }
-                if events.migrations > 0 {
-                    session.migrations += events.migrations as u64;
-                    let mut rng = self.stage_rng(stream::MIGRATION, frame_index);
-                    let mut pairs = StandardNormalPairs::new();
-                    session.migration_time += migration_base
-                        * events.migrations as f64
-                        * self.noise(&mut rng, &mut pairs);
-                }
-            } else if let Some(walker) = session.walker.as_mut() {
-                session.handoffs += walker.advance(window) as u64;
-            }
-        }
     }
 }
 

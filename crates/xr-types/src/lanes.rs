@@ -18,8 +18,7 @@
 //! construction**: widening or narrowing the batch only changes how many
 //! frames are produced per call, never which words a given frame sees. This
 //! is the same invariant per-stage streams pinned for batching, pushed one
-//! level down to the raw `u64` draws (and it is what any future
-//! within-session parallelism will rely on, too).
+//! level down to the raw `u64` draws.
 //!
 //! The SplitMix64 seeding chain and the xoshiro256++ step are deliberately
 //! *duplicated* from the `rand` shim rather than imported: the shim exposes
@@ -176,29 +175,6 @@ impl LaneStreams {
                 &mut self.s3[lo..hi],
             );
         }
-    }
-
-    /// Seeds the bank onto an absolute frame *range*: lane `j` owns frame
-    /// `frames.start + j`, one lane per frame of the half-open range. This
-    /// is the within-session range-split entry point — a worker handed
-    /// frames `a..b` of a session seeds its lanes here and produces exactly
-    /// the words those frames would see in a whole-session run, because
-    /// lane seeding depends only on each frame's absolute index, never on
-    /// where the batch grid starts. Equivalent to
-    /// `reseed(stage_seed_base, frames.start, frames.len())`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or its width overflows `usize`.
-    pub fn reseed_range(&mut self, stage_seed_base: u64, frames: std::ops::Range<u64>) {
-        assert!(
-            frames.start < frames.end,
-            "lane range {}..{} must be non-empty",
-            frames.start,
-            frames.end
-        );
-        let width = usize::try_from(frames.end - frames.start).expect("lane range fits in usize");
-        self.reseed(stage_seed_base, frames.start, width);
     }
 
     /// The portable seeding pass behind [`reseed`](LaneStreams::reseed);
@@ -473,35 +449,6 @@ mod tests {
             }
         }
         columns
-    }
-
-    #[test]
-    fn reseed_range_is_reseed_at_the_ranges_start() {
-        let stage_base = seed::mix(7, 5);
-        let mut by_range = LaneStreams::new();
-        by_range.reseed_range(stage_base, 513..1025);
-        let mut by_offset = LaneStreams::new();
-        by_offset.reseed(stage_base, 513, 512);
-        assert_eq!(by_range.width(), 512);
-        let mut a = vec![0u64; 512];
-        let mut b = vec![0u64; 512];
-        for _ in 0..4 {
-            by_range.fill_next(&mut a);
-            by_offset.fill_next(&mut b);
-            assert_eq!(a, b);
-        }
-        // And both equal the frames' own scalar streams.
-        let reference = scalar_columns(stage_base, 513, 512, 1);
-        let mut fresh = LaneStreams::new();
-        fresh.reseed_range(stage_base, 513..1025);
-        fresh.fill_next(&mut a);
-        assert_eq!(a, reference[0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be non-empty")]
-    fn empty_lane_ranges_panic() {
-        LaneStreams::new().reseed_range(1, 9..9);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The batched frame engine's contract: for every scenario, seed, session
 //! length, and batch width — including widths that do not divide the frame
 //! count — the structure-of-arrays engine produces a `GroundTruthFrame`
-//! stream **bit-identical** to the scalar frame-by-frame reference.
+//! stream **bit-identical** to the scalar frame-by-frame reference, and a
+//! shorter session of the same seed replays the longer one's first frames.
 //!
 //! Both engines run with the frame log on
 //! ([`TestbedSimulator::with_frame_log`]), and each reference asserts the
@@ -66,6 +67,7 @@ proptest! {
         radius in 5.0..60.0_f64,
         seed in 0u64..1_000_000,
         frames in 1u64..64,
+        prefix in 1u64..64,
         width in 1usize..80,
         users in prop::sample::select(vec![0u32, 1, 2, 3, 5]),
         layout in prop::sample::select(vec![0u8, 1, 2, 3]),
@@ -94,6 +96,11 @@ proptest! {
             .simulate_session(&scenario, frames)
             .unwrap();
         prop_assert_eq!(&via_engine, &scalar);
+        // A shorter session of the same seed is a prefix of this one: no
+        // frame depends on how many frames follow it.
+        let prefix = prefix.min(frames);
+        let head = testbed.simulate_session_batched(&scenario, prefix, width).unwrap();
+        prop_assert_eq!(head.frames(), scalar.frames().map(|f| &f[..prefix as usize]));
 
         // Multi-tenant contention: the same property with the edge shared
         // by `users` sessions (0 keeps contention off — covered above).
